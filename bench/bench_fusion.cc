@@ -1,10 +1,8 @@
 /**
  * @file
  * Measured fused-vs-unfused encoder-layer performance on the CPU
- * substrate (ISSUE 8): eval forward through the eager fused path and
- * the graph executor, training forward+backward, closed-loop serving
- * throughput, and the arena planner's high-water mark against the
- * no-reuse footprint. Alongside each measured ratio the Fig. 12-style
+ * substrate: eval forward, training forward+backward and closed-loop
+ * serving throughput. Alongside each measured ratio the Fig. 12-style
  * analytical prediction is reported: the kernel-count and memory-
  * traffic ratios from the same runs' KernelStats (traffic ratio is
  * the roofline memory-bound speedup upper bound; GEMM-heavy spans are
@@ -23,9 +21,7 @@
 #include <vector>
 
 #include "core/bertprof.h"
-#include "graph/encoder_exec.h"
 #include "nn/encoder_layer.h"
-#include "nn/graph_hook.h"
 #include "runtime/config.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
@@ -46,7 +42,7 @@ template <typename Fn>
 Measurement
 profileOnce(Profiler &prof, Fn &&fn)
 {
-    fn(); // warm caches, plans, thread pool
+    fn(); // warm caches and the thread pool
     prof.clear();
     fn(); // profiled rep
     Measurement m;
@@ -141,37 +137,21 @@ main(int argc, char **argv)
 
     auto eval_forward = [&]() { (void)layer.forward(x, mask, batch, seq); };
 
-    // -- Eval forward: unfused / fused-eager / fused-graph --
+    // -- Eval forward: unfused / fused --
     layer.setTraining(false);
-    graph::EncoderExec *exec = graph::ensureEncoderGraphExecInstalled();
-    exec->clearPlanCache();
     auto enter_unfused = [&]() { setFusionMode(FusionMode::Off); };
-    auto enter_eager = [&]() {
-        setFusionMode(FusionMode::On);
-        installEncoderGraphExec(nullptr);
-    };
-    auto enter_graph = [&]() {
-        setFusionMode(FusionMode::On);
-        installEncoderGraphExec(exec);
-    };
+    auto enter_fused = [&]() { setFusionMode(FusionMode::On); };
 
     enter_unfused();
     Measurement eval_unfused = profileOnce(prof, eval_forward);
-    enter_eager();
-    Measurement eval_eager = profileOnce(prof, eval_forward);
-    enter_graph();
-    Measurement eval_graph = profileOnce(prof, eval_forward);
+    enter_fused();
+    Measurement eval_fused = profileOnce(prof, eval_forward);
 
     const std::vector<double> eval_ms = medianInterleaved(
-        {{enter_unfused, eval_forward},
-         {enter_eager, eval_forward},
-         {enter_graph, eval_forward}},
+        {{enter_unfused, eval_forward}, {enter_fused, eval_forward}},
         reps);
     eval_unfused.ms = eval_ms[0];
-    eval_eager.ms = eval_ms[1];
-    eval_graph.ms = eval_ms[2];
-    const std::int64_t arena_peak = exec->arenaPeakBytes();
-    const std::int64_t arena_sum = exec->plannedSumBytes();
+    eval_fused.ms = eval_ms[1];
 
     // -- Training forward+backward --
     layer.setTraining(true);
@@ -188,9 +168,7 @@ main(int argc, char **argv)
     setFusionMode(FusionMode::On);
     Measurement train_fused = profileOnce(prof, train_step);
     const std::vector<double> train_ms = medianInterleaved(
-        {{enter_unfused, train_step},
-         {[&]() { setFusionMode(FusionMode::On); }, train_step}},
-        reps);
+        {{enter_unfused, train_step}, {enter_fused, train_step}}, reps);
     train_unfused.ms = train_ms[0];
     train_fused.ms = train_ms[1];
     layer.setTraining(false);
@@ -221,8 +199,8 @@ main(int argc, char **argv)
     clearFusionModeOverride();
 
     // -- Report --
-    const double traffic_ratio = eval_unfused.bytes / eval_graph.bytes;
-    Table table("Fused kernels + graph executor vs unfused oracle "
+    const double traffic_ratio = eval_unfused.bytes / eval_fused.bytes;
+    Table table("Fused kernels vs unfused oracle "
                 "(d_model=" + std::to_string(d_model) +
                 ", B=" + std::to_string(batch) +
                 ", n=" + std::to_string(seq) + ")");
@@ -237,23 +215,18 @@ main(int argc, char **argv)
                       formatBytes(m.bytes)});
     };
     row("eval unfused", eval_unfused, eval_unfused);
-    row("eval fused (eager)", eval_eager, eval_unfused);
-    row("eval fused (graph+arena)", eval_graph, eval_unfused);
+    row("eval fused", eval_fused, eval_unfused);
     row("train unfused", train_unfused, train_unfused);
     row("train fused", train_fused, train_unfused);
     std::printf("%s\n", table.render().c_str());
 
     std::printf(
         "Fig. 12 analytical prediction (from KernelStats): kernels "
-        "%lldx, memory traffic %.2fx (= roofline memory-bound upper "
+        "%.2fx, memory traffic %.2fx (= roofline memory-bound upper "
         "bound); measured eval speedup %.2fx.\n",
-        static_cast<long long>(eval_unfused.kernels / eval_graph.kernels),
-        traffic_ratio, eval_unfused.ms / eval_graph.ms);
-    std::printf("arena: peak %s vs no-reuse sum %s (%.2fx reuse)\n",
-                formatBytes(static_cast<double>(arena_peak)).c_str(),
-                formatBytes(static_cast<double>(arena_sum)).c_str(),
-                static_cast<double>(arena_sum) /
-                    static_cast<double>(arena_peak));
+        static_cast<double>(eval_unfused.kernels) /
+            static_cast<double>(eval_fused.kernels),
+        traffic_ratio, eval_unfused.ms / eval_fused.ms);
     std::printf("serving: %.1f qps unfused -> %.1f qps fused (%.2fx)\n",
                 qps_unfused, qps_fused, qps_fused / qps_unfused);
 
@@ -274,22 +247,20 @@ main(int argc, char **argv)
             static_cast<long long>(seq), reps, quick ? "true" : "false");
         std::fprintf(
             f,
-            "  \"eval\": {\"unfused_ms\": %.4f, \"fused_eager_ms\": "
-            "%.4f, \"fused_graph_ms\": %.4f, \"speedup_eager\": %.3f, "
-            "\"speedup_graph\": %.3f,\n"
+            "  \"eval\": {\"unfused_ms\": %.4f, \"fused_ms\": %.4f, "
+            "\"speedup\": %.3f,\n"
             "    \"kernels_unfused\": %lld, \"kernels_fused\": %lld, "
             "\"traffic_unfused_bytes\": %.0f, \"traffic_fused_bytes\": "
             "%.0f,\n"
             "    \"analytical_traffic_ratio\": %.3f, "
             "\"analytical_kernel_ratio\": %.3f},\n",
-            eval_unfused.ms, eval_eager.ms, eval_graph.ms,
-            eval_unfused.ms / eval_eager.ms,
-            eval_unfused.ms / eval_graph.ms,
+            eval_unfused.ms, eval_fused.ms,
+            eval_unfused.ms / eval_fused.ms,
             static_cast<long long>(eval_unfused.kernels),
-            static_cast<long long>(eval_graph.kernels),
-            eval_unfused.bytes, eval_graph.bytes, traffic_ratio,
+            static_cast<long long>(eval_fused.kernels),
+            eval_unfused.bytes, eval_fused.bytes, traffic_ratio,
             static_cast<double>(eval_unfused.kernels) /
-                static_cast<double>(eval_graph.kernels));
+                static_cast<double>(eval_fused.kernels));
         std::fprintf(
             f,
             "  \"train\": {\"unfused_ms\": %.4f, \"fused_ms\": %.4f, "
@@ -299,14 +270,6 @@ main(int argc, char **argv)
             train_unfused.ms / train_fused.ms,
             static_cast<long long>(train_unfused.kernels),
             static_cast<long long>(train_fused.kernels));
-        std::fprintf(
-            f,
-            "  \"arena\": {\"peak_bytes\": %lld, \"sum_bytes\": %lld, "
-            "\"reuse_ratio\": %.3f},\n",
-            static_cast<long long>(arena_peak),
-            static_cast<long long>(arena_sum),
-            static_cast<double>(arena_sum) /
-                static_cast<double>(arena_peak));
         std::fprintf(
             f,
             "  \"serving\": {\"unfused_qps\": %.2f, \"fused_qps\": "

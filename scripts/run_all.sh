@@ -26,11 +26,11 @@ ctest --test-dir build -L serve --output-on-failure
 # shutdown and zero unresolved futures under every plan.
 scripts/check_chaos.sh build
 
-# Fusion smoke: fused-kernel / graph-executor parity suites plus the
-# measured fused-vs-unfused quick bench (BERTPROF_FUSION defaults off,
-# so everything above ran the unfused oracle path).
+# Fusion smoke: fused-kernel parity suites plus the measured
+# fused-vs-unfused quick bench (BERTPROF_FUSION defaults off, so
+# everything above ran the unfused oracle path).
 ctest --test-dir build -L fusion --output-on-failure
-build/bench/bench_fusion --quick | tail -3
+build/bench/bench_fusion --quick | tail -2
 
 # Telemetry smoke: record a real (quick) train+eval run into a trace
 # container, then replay it with bptrace — the breakdown aggregates

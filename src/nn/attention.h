@@ -46,13 +46,6 @@ class MultiHeadAttention : public Module
     /** Initialize all projection weights. */
     void initialize(Rng &rng, float stddev = 0.02f);
 
-    Linear &wq() { return wq_; }
-    Linear &wk() { return wk_; }
-    Linear &wv() { return wv_; }
-    Linear &wo() { return wo_; }
-    int numHeads() const { return numHeads_; }
-    std::int64_t dModel() const { return dModel_; }
-
   protected:
     void collectChildren(std::vector<Module *> &out) override;
 

@@ -1,6 +1,5 @@
 #include "nn/encoder_layer.h"
 
-#include "nn/graph_hook.h"
 #include "ops/dropout.h"
 #include "ops/elementwise.h"
 #include "runtime/config.h"
@@ -43,15 +42,6 @@ EncoderLayer::forward(const Tensor &x, const Tensor &mask,
         ffDropMask_ = Tensor();
     }
     const bool fused = fusionEnabled();
-
-    // Eval + fusion: hand the whole layer to the graph executor when
-    // one is installed — fusion becomes a scheduling decision (the
-    // planner pattern-matches the chains and places intermediates in
-    // an arena). Falls back to the eager fused kernels below.
-    if (!training && fused) {
-        if (EncoderGraphExec *exec = encoderGraphExec())
-            return exec->forwardEval(*this, x, mask, batch, seq);
-    }
 
     // Attention sub-layer + DR + RC + LN. Eval mode: the block
     // dropouts are exact identities (no RNG draw, no mask alloc), so

@@ -30,9 +30,6 @@ class FeedForward : public Module
 
     void initialize(Rng &rng, float stddev = 0.02f);
 
-    Linear &fc1() { return fc1_; }
-    Linear &fc2() { return fc2_; }
-
   protected:
     void collectChildren(std::vector<Module *> &out) override;
 

@@ -58,8 +58,6 @@ class Linear : public Module
 
     Parameter &weight() { return weight_; }
     Parameter &bias() { return bias_; }
-    std::int64_t inDim() const { return inDim_; }
-    std::int64_t outDim() const { return outDim_; }
 
   private:
     std::int64_t inDim_;

@@ -376,4 +376,11 @@ DynamicBatcher::rejectedCount(RejectReason reason) const
         std::memory_order_relaxed);
 }
 
+void
+DynamicBatcher::resetRejectedCounts()
+{
+    for (auto &count : rejected_)
+        count.store(0, std::memory_order_relaxed);
+}
+
 } // namespace bertprof

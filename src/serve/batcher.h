@@ -103,6 +103,9 @@ class DynamicBatcher
     /** Requests refused or shed with `reason` so far (this batcher). */
     std::int64_t rejectedCount(RejectReason reason) const;
 
+    /** Zero every per-reason rejection count. */
+    void resetRejectedCounts();
+
     /**
      * Resolve `pending`'s future as rejected with `reason` and count
      * it (per-reason atomic + the process-wide

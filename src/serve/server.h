@@ -90,11 +90,13 @@ class InferenceServer
      *  current ladder level). Callable from any thread. */
     ServerStats stats();
 
-    /** Discard latency samples and completion counts accumulated so
-     *  far — benchmarks call this after a warm-up phase so measured
-     *  percentiles exclude cold-cache / cold-EWMA traffic. Batcher
-     *  state (service-time EWMAs, rejection counters) is preserved:
-     *  warming those is the point of a warm-up. */
+    /** Discard latency samples, completion counts and rejection
+     *  counts accumulated so far — benchmarks call this after a
+     *  warm-up phase so measured percentiles exclude cold-cache /
+     *  cold-EWMA traffic, and so stats() obeys submitted = completed
+     *  + Σ rejected over the requests submitted since. Batcher
+     *  state (service-time EWMAs, ladder level) is preserved:
+     *  warming it is the point of a warm-up. */
     void resetStats();
 
     const BucketSpec &buckets() const { return batcher_.spec(); }

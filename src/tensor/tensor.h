@@ -50,20 +50,6 @@ class Tensor
     /** Allocate and fill from the given values (size must match). */
     Tensor(Shape shape, std::vector<float> values, DType dtype = DType::F32);
 
-    /**
-     * Non-owning view over external storage (the graph executor's
-     * arena). The caller guarantees `storage` outlives the view and
-     * holds shape.numel() floats. Copying the Tensor copies the
-     * pointer, not the data; clone() materializes an owned copy.
-     * Restricted to src/graph by the bplint arena-escape rule —
-     * borrowed storage must not leak past the executor that owns it.
-     */
-    static Tensor borrow(float *storage, Shape shape,
-                         DType dtype = DType::F32);
-
-    /** True when this tensor borrows external storage. */
-    bool isView() const { return view_ != nullptr; }
-
     /** The tensor's shape. */
     const Shape &shape() const { return shape_; }
 
@@ -80,10 +66,10 @@ class Tensor
     }
 
     /** Mutable flat data pointer. */
-    float *data() { return view_ ? view_ : data_.data(); }
+    float *data() { return data_.data(); }
 
     /** Const flat data pointer. */
-    const float *data() const { return view_ ? view_ : data_.data(); }
+    const float *data() const { return data_.data(); }
 
     /**
      * Element access by flat index. Bounds-checked in debug builds
@@ -148,7 +134,6 @@ class Tensor
     Shape shape_;
     DType dtype_;
     std::vector<float> data_;
-    float *view_ = nullptr; ///< borrowed storage (null = owned data_)
 };
 
 /** Max |a-b| over two same-shaped tensors (testing helper). */

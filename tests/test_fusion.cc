@@ -2,9 +2,9 @@
  * Fused-kernel parity suite (ISSUE 8 satellite): every fused kernel
  * against its unfused oracle chain at 1 and 8 threads, training
  * forward/backward parity through EncoderLayer, eval logits parity
- * through BertClassifier, and serve end-to-end parity with the graph
- * executor engaged. The parity class per kernel (bitwise versus
- * tolerance) is the contract documented in ops/fused.h.
+ * through BertClassifier, and serve end-to-end parity. The parity
+ * class per kernel (bitwise versus tolerance) is the contract
+ * documented in ops/fused.h.
  */
 
 #include <cmath>
@@ -14,9 +14,9 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/encoder_exec.h"
+#include "data/synthetic.h"
+#include "nn/bert_pretrainer.h"
 #include "nn/encoder_layer.h"
-#include "nn/graph_hook.h"
 #include "ops/activation.h"
 #include "ops/elementwise.h"
 #include "ops/fused.h"
@@ -27,7 +27,6 @@
 #include "runtime/config.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
-#include "telemetry/metrics.h"
 #include "test_helpers.h"
 
 namespace bertprof {
@@ -123,6 +122,65 @@ TEST(FusedKernels, ResidualLayerNormBitwiseMatchesUnfused)
                                              mean, rstd);
         EXPECT_TRUE(bitwiseEqual(sum, sum_ref)) << threads << " threads";
         EXPECT_TRUE(bitwiseEqual(out2, out_ref));
+    }
+}
+
+TEST(FusedKernels, BiasGeluOddWidthBitwise)
+{
+    // A width that is no multiple of any vector or chunk size, and
+    // fewer rows than threads, so every tail path runs.
+    KnobGuard guard;
+    Rng rng(16);
+    Tensor in(Shape({5, 37}));
+    Tensor bias(Shape({37}));
+    in.fillNormal(rng);
+    bias.fillNormal(rng);
+
+    for (int threads : kThreadSweep) {
+        setNumThreads(threads);
+        Tensor pre_ref(in.shape());
+        Tensor out_ref(in.shape());
+        biasForward(in, bias, pre_ref);
+        geluForward(pre_ref, out_ref);
+
+        Tensor pre(in.shape());
+        Tensor out(in.shape());
+        fusedBiasGeluForwardWithPre(in, bias, pre, out);
+        EXPECT_TRUE(bitwiseEqual(pre, pre_ref)) << threads << " threads";
+        EXPECT_TRUE(bitwiseEqual(out, out_ref)) << threads << " threads";
+    }
+}
+
+TEST(FusedKernels, ResidualLayerNormOddWidthBitwise)
+{
+    KnobGuard guard;
+    Rng rng(17);
+    Tensor a(Shape({3, 37}));
+    Tensor b(Shape({3, 37}));
+    Tensor gamma(Shape({37}));
+    Tensor beta(Shape({37}));
+    a.fillNormal(rng);
+    b.fillNormal(rng);
+    gamma.fillNormal(rng);
+    beta.fillNormal(rng);
+
+    for (int threads : kThreadSweep) {
+        setNumThreads(threads);
+        Tensor sum_ref(a.shape());
+        Tensor out_ref(a.shape());
+        Tensor mean_ref(Shape({3}));
+        Tensor rstd_ref(Shape({3}));
+        addForward(a, b, sum_ref);
+        layerNormForward(sum_ref, gamma, beta, out_ref, mean_ref,
+                         rstd_ref);
+
+        Tensor out(a.shape());
+        Tensor mean(Shape({3}));
+        Tensor rstd(Shape({3}));
+        fusedResidualLayerNormForward(a, b, gamma, beta, out, mean, rstd);
+        EXPECT_TRUE(bitwiseEqual(out, out_ref)) << threads << " threads";
+        EXPECT_TRUE(bitwiseEqual(mean, mean_ref)) << threads << " threads";
+        EXPECT_TRUE(bitwiseEqual(rstd, rstd_ref)) << threads << " threads";
     }
 }
 
@@ -278,6 +336,102 @@ TEST(FusedKernels, AttentionEvalCloseToUnfusedChain)
     }
 }
 
+/** The unfused score -> mask -> softmax -> context chain. */
+Tensor
+unfusedAttention(const Tensor &q3d, const Tensor &k3d, const Tensor &v3d,
+                 const Tensor &mask, std::int64_t heads, float scale)
+{
+    const std::int64_t groups = q3d.shape().dim(0);
+    const std::int64_t seq = q3d.shape().dim(1);
+    Tensor scores(Shape({groups, seq, seq}));
+    batchedGemm(q3d, k3d, scores, false, true);
+    scaleForward(scores, scale, scores);
+    if (mask.shape().rank() == 3)
+        batchMaskAddForward(scores, mask, heads, scores);
+    else
+        maskAddForward(scores, mask, scores);
+    Tensor probs(scores.shape());
+    softmaxForward(scores, probs);
+    Tensor ctx(q3d.shape());
+    batchedGemm(probs, v3d, ctx);
+    return ctx;
+}
+
+TEST(FusedKernels, AttentionEvalSingleKeyReturnsValue)
+{
+    // With one key the softmax weight is exactly 1, so the context is
+    // the value row itself.
+    KnobGuard guard;
+    const std::int64_t groups = 6, dh = 8;
+    Rng rng(18);
+    const Shape split_shape({groups, 1, dh});
+    Tensor q3d(split_shape), k3d(split_shape), v3d(split_shape);
+    q3d.fillNormal(rng);
+    k3d.fillNormal(rng);
+    v3d.fillNormal(rng);
+    Tensor mask(Shape({1, 1}));
+
+    for (int threads : kThreadSweep) {
+        setNumThreads(threads);
+        Tensor ctx(split_shape);
+        fusedAttentionEvalForward(q3d, k3d, v3d, mask, 2, 0.5f, ctx);
+        EXPECT_LT(maxAbsDiff(ctx, v3d), 1e-6) << threads << " threads";
+    }
+}
+
+TEST(FusedKernels, AttentionEvalLongRaggedSequenceCloseToUnfused)
+{
+    // A sequence longer than one score tile and no multiple of it,
+    // with a different padded tail per sequence.
+    KnobGuard guard;
+    const std::int64_t batch = 3, seq = 67, heads = 2, dh = 16;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    Rng rng(19);
+    const Shape split_shape({batch * heads, seq, dh});
+    Tensor q3d(split_shape), k3d(split_shape), v3d(split_shape);
+    q3d.fillNormal(rng);
+    k3d.fillNormal(rng);
+    v3d.fillNormal(rng);
+    const std::int64_t lengths[batch] = {seq, 40, 1};
+    Tensor mask(Shape({batch, seq, seq}));
+    for (std::int64_t s = 0; s < batch; ++s)
+        for (std::int64_t i = 0; i < seq; ++i)
+            for (std::int64_t j = 0; j < seq; ++j)
+                mask.at(s * seq * seq + i * seq + j) =
+                    (j >= lengths[s]) ? -1e9f : 0.0f;
+
+    for (int threads : kThreadSweep) {
+        setNumThreads(threads);
+        const Tensor ctx_ref =
+            unfusedAttention(q3d, k3d, v3d, mask, heads, scale);
+        Tensor ctx(split_shape);
+        fusedAttentionEvalForward(q3d, k3d, v3d, mask, heads, scale, ctx);
+        EXPECT_LT(maxAbsDiff(ctx, ctx_ref), 1e-5) << threads << " threads";
+    }
+}
+
+TEST(FusedKernels, AttentionEvalThreadInvariantBitwise)
+{
+    KnobGuard guard;
+    const std::int64_t batch = 2, seq = 24, heads = 4, dh = 8;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    Rng rng(20);
+    const Shape split_shape({batch * heads, seq, dh});
+    Tensor q3d(split_shape), k3d(split_shape), v3d(split_shape);
+    q3d.fillNormal(rng);
+    k3d.fillNormal(rng);
+    v3d.fillNormal(rng);
+    Tensor mask(Shape({seq, seq}));
+
+    setNumThreads(1);
+    Tensor ctx1(split_shape);
+    fusedAttentionEvalForward(q3d, k3d, v3d, mask, heads, scale, ctx1);
+    setNumThreads(8);
+    Tensor ctx8(split_shape);
+    fusedAttentionEvalForward(q3d, k3d, v3d, mask, heads, scale, ctx8);
+    EXPECT_TRUE(bitwiseEqual(ctx8, ctx1));
+}
+
 /** Two identically-seeded encoder layers, one forward each. */
 struct LayerPair {
     NnRuntime rt_a, rt_b;
@@ -297,8 +451,6 @@ struct LayerPair {
 TEST(FusionTraining, ForwardBitwiseAndGradsMatchUnfused)
 {
     KnobGuard guard;
-    // The eager fused path only (no graph executor on training
-    // forwards; the hook is eval-only by contract).
     for (int threads : kThreadSweep) {
         setNumThreads(threads);
         LayerPair pair;
@@ -340,7 +492,6 @@ TEST(FusionTraining, ForwardBitwiseAndGradsMatchUnfused)
 TEST(FusionEval, EncoderLayerFusedCloseToUnfused)
 {
     KnobGuard guard;
-    installEncoderGraphExec(nullptr); // eager fused path
     for (int threads : kThreadSweep) {
         setNumThreads(threads);
         LayerPair pair;
@@ -357,6 +508,62 @@ TEST(FusionEval, EncoderLayerFusedCloseToUnfused)
         Tensor y = pair.b.forward(x, mask, 2, 16);
         // Fused attention reassociates the score/context dots.
         EXPECT_LT(maxAbsDiff(y, y_ref), 1e-4) << threads << " threads";
+    }
+}
+
+TEST(FusionEval, EncoderLayerPerSequenceMaskCloseToUnfused)
+{
+    KnobGuard guard;
+    for (int threads : kThreadSweep) {
+        setNumThreads(threads);
+        LayerPair pair;
+        pair.a.setTraining(false);
+        pair.b.setTraining(false);
+        Rng data(24);
+        Tensor x(Shape({2 * 16, 32}));
+        x.fillNormal(data);
+        Tensor mask(Shape({2, 16, 16}));
+        for (std::int64_t i = 0; i < mask.numel(); ++i)
+            mask.at(i) = (i % 7 == 0) ? -1e9f : 0.0f;
+
+        setFusionMode(FusionMode::Off);
+        Tensor y_ref = pair.a.forward(x, mask, 2, 16);
+        setFusionMode(FusionMode::On);
+        Tensor y = pair.b.forward(x, mask, 2, 16);
+        EXPECT_LT(maxAbsDiff(y, y_ref), 1e-4) << threads << " threads";
+    }
+}
+
+TEST(FusionEval, EncoderLayerShapeChangesCarryNoState)
+{
+    // The fused kernels keep per-thread scratch buffers. Alternating
+    // shapes must neither disturb parity nor leave state behind: a
+    // repeated shape reproduces its first output bitwise.
+    KnobGuard guard;
+    setNumThreads(8);
+    LayerPair pair;
+    pair.a.setTraining(false);
+    pair.b.setTraining(false);
+    const std::int64_t shapes[][2] = {{2, 16}, {1, 5}, {3, 9}, {2, 16}};
+    Tensor first;
+    for (const auto &bs : shapes) {
+        const std::int64_t batch = bs[0], seq = bs[1];
+        Rng data(25);
+        Tensor x(Shape({batch * seq, 32}));
+        x.fillNormal(data);
+        Tensor mask(Shape({seq, seq}));
+
+        setFusionMode(FusionMode::Off);
+        Tensor y_ref = pair.a.forward(x, mask, batch, seq);
+        setFusionMode(FusionMode::On);
+        Tensor y = pair.b.forward(x, mask, batch, seq);
+        EXPECT_LT(maxAbsDiff(y, y_ref), 1e-4)
+            << "batch " << batch << " seq " << seq;
+        if (first.numel() == 0) {
+            first = y;
+        } else if (y.shape() == first.shape()) {
+            EXPECT_TRUE(bitwiseEqual(y, first));
+        }
     }
 }
 
@@ -384,7 +591,6 @@ TEST(FusionEval, ClassifierLogitsCloseAndThreadInvariant)
     Rng init(32);
     clf.initialize(init);
     clf.setTraining(false);
-    graph::ensureEncoderGraphExecInstalled();
 
     setNumThreads(1);
     setFusionMode(FusionMode::Off);
@@ -403,7 +609,81 @@ TEST(FusionEval, ClassifierLogitsCloseAndThreadInvariant)
     EXPECT_TRUE(bitwiseEqual(ref8, ref));
 }
 
-TEST(FusionServe, EndToEndLogitsParityAndArenaGauge)
+/** Eval MLM logits of a tiny pretrainer over a padded batch. */
+Tensor
+mlmLogits(BertPretrainer &model, const BertConfig &config)
+{
+    const std::int64_t batch = 2, seq = 16;
+    std::vector<std::int64_t> tokens, segments;
+    Rng rng(33);
+    for (std::int64_t i = 0; i < batch * seq; ++i) {
+        tokens.push_back(rng.uniformInt(0, config.vocabSize - 1));
+        segments.push_back(i % 2);
+    }
+    const std::vector<std::int64_t> lengths = {seq, seq - 5};
+    const std::vector<std::int64_t> positions = {0, 7, seq + 2, seq + 9};
+    return model.mlmLogitsEval(tokens, segments, batch, seq, lengths,
+                               positions);
+}
+
+TEST(FusionEval, MlmLogitsCloseAndThreadInvariant)
+{
+    KnobGuard guard;
+    const BertConfig config = tinyBertConfig();
+    NnRuntime rt;
+    BertPretrainer model(config, &rt);
+    Rng init(34);
+    model.initialize(init);
+    model.setTraining(false);
+
+    setNumThreads(1);
+    setFusionMode(FusionMode::Off);
+    Tensor ref = mlmLogits(model, config);
+    setFusionMode(FusionMode::On);
+    Tensor fused1 = mlmLogits(model, config);
+    EXPECT_LT(maxAbsDiff(fused1, ref), 1e-4);
+
+    setNumThreads(8);
+    Tensor fused8 = mlmLogits(model, config);
+    EXPECT_TRUE(bitwiseEqual(fused8, fused1));
+}
+
+TEST(FusionTraining, PretrainerLossAndGradsCloseToUnfused)
+{
+    // The whole model, embeddings to both heads, in training mode:
+    // the fused forward is bitwise, so the losses match exactly; the
+    // grads cross the fused QKV dgrad and match to tolerance.
+    KnobGuard guard;
+    const BertConfig config = tinyBertConfig();
+    NnRuntime rt_a, rt_b;
+    rt_a.dropoutP = 0.1f;
+    rt_b.dropoutP = 0.1f;
+    BertPretrainer a(config, &rt_a), b(config, &rt_b);
+    Rng init_a(35), init_b(35);
+    a.initialize(init_a);
+    b.initialize(init_b);
+    SyntheticDataset dataset(config, 36);
+    const PretrainBatch batch = dataset.nextBatch();
+
+    a.zeroGrad();
+    b.zeroGrad();
+    setFusionMode(FusionMode::Off);
+    const PretrainStepResult ref = a.forwardBackward(batch);
+    setFusionMode(FusionMode::On);
+    const PretrainStepResult fused = b.forwardBackward(batch);
+    EXPECT_EQ(fused.mlmLoss, ref.mlmLoss);
+    EXPECT_EQ(fused.nspLoss, ref.nspLoss);
+
+    std::vector<Parameter *> pa, pb;
+    a.collectParameters(pa);
+    b.collectParameters(pb);
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i)
+        EXPECT_LT(maxAbsDiff(pb[i]->grad, pa[i]->grad), 1e-4)
+            << pa[i]->name;
+}
+
+TEST(FusionServe, EndToEndLogitsParity)
 {
     KnobGuard guard;
     const BertConfig config = tinyBertConfig();
@@ -448,16 +728,55 @@ TEST(FusionServe, EndToEndLogitsParityAndArenaGauge)
             EXPECT_NEAR(on[i][j], off[i][j], 1e-4)
                 << "request " << i << " logit " << j;
     }
+}
 
-    // The fused run went through the graph executor (the engine ctor
-    // installed it); its arena high-water mark is live telemetry.
-    // (Peak-below-sum is asserted per plan in test_graph; here the
-    // peak spans every shape this process ran, so only >0 is sound.)
-    graph::EncoderExec *exec = graph::ensureEncoderGraphExecInstalled();
-    EXPECT_GT(exec->arenaPeakBytes(), 0);
-    EXPECT_GT(
-        MetricsRegistry::instance().gauge("graph.arena_peak_bytes").value(),
-        0.0);
+TEST(FusionServe, MlmEndToEndLogitsParity)
+{
+    KnobGuard guard;
+    const BertConfig config = tinyBertConfig();
+    NnRuntime rt;
+    BertPretrainer model(config, &rt);
+    Rng init(43);
+    model.initialize(init);
+    model.setTraining(false);
+    MlmEngine engine(model, kPadId);
+
+    ServeOptions options;
+    options.maxBatch = 4;
+    options.maxWaitUs = 200;
+    options.defaultDeadlineUs = 60000000;
+
+    auto serve_once = [&](FusionMode mode) {
+        setFusionMode(mode);
+        Rng body(44);
+        std::vector<std::vector<float>> logits;
+        InferenceServer server(engine, BucketSpec({8, 16, 32}), options);
+        std::vector<std::future<InferReply>> futures;
+        for (std::uint64_t id = 0; id < 6; ++id) {
+            const std::int64_t len = 4 + 2 * static_cast<std::int64_t>(id);
+            InferRequest req =
+                syntheticRequest(body, id, len, config.vocabSize);
+            req.mlmPositions = {0, len - 1};
+            futures.push_back(server.submit(std::move(req)));
+        }
+        for (auto &f : futures) {
+            InferReply reply = f.get();
+            EXPECT_TRUE(reply.ok);
+            EXPECT_EQ(reply.rows, 2);
+            logits.push_back(reply.logits);
+        }
+        return logits;
+    };
+
+    const auto off = serve_once(FusionMode::Off);
+    const auto on = serve_once(FusionMode::On);
+    ASSERT_EQ(off.size(), on.size());
+    for (std::size_t i = 0; i < off.size(); ++i) {
+        ASSERT_EQ(off[i].size(), on[i].size());
+        for (std::size_t j = 0; j < off[i].size(); ++j)
+            EXPECT_NEAR(on[i][j], off[i][j], 1e-4)
+                << "request " << i << " logit " << j;
+    }
 }
 
 } // namespace

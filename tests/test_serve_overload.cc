@@ -4,9 +4,10 @@
  * queue's EDF edge cases (equal deadlines, the MonoTime{} sentinel)
  * and shedding primitives, admission-control policies (reject-new vs
  * drop-oldest, EWMA-based unmeetable-deadline refusal), the
- * hysteretic degradation ladder, and an in-process chaos run — 8
- * client threads against a server with serve.submit/serve.compute
- * faults armed, where every future must resolve exactly once.
+ * hysteretic degradation ladder, outcome accounting across
+ * resetStats(), and an in-process chaos run — 8 client threads
+ * against a server with serve.submit/serve.compute faults armed,
+ * where every future must resolve exactly once.
  */
 
 #include <atomic>
@@ -308,6 +309,135 @@ TEST(DegradeLadder, DisabledLadderNeverEngages)
         ASSERT_EQ(batcher.submit(p), RejectReason::None);
     }
     EXPECT_EQ(batcher.degradeLevel(), 0);
+}
+
+// --------------------------------------------------------------------
+// Outcome accounting: after a warm-up and resetStats(), stats() obeys
+// submitted = completed + Σ rejected over the measured phase alone.
+// --------------------------------------------------------------------
+
+TEST(ServeStats, ResetKeepsSubmittedEqualCompletedPlusRejected)
+{
+    const BertConfig config = tinyBertConfig();
+    NnRuntime rt;
+    BertClassifier clf(config, &rt);
+    Rng init(82);
+    clf.initialize(init);
+    clf.setTraining(false);
+    ClassifierEngine engine(clf, kPadId);
+
+    ServeOptions options;
+    options.defaultDeadlineUs = 60000000; // only dead-on-arrival expires
+    InferenceServer server(engine, BucketSpec({8, 16}), options);
+
+    // Every third request is dead on arrival, so each phase refuses a
+    // known number as Expired; the rest complete.
+    Rng body(83);
+    std::uint64_t next_id = 0;
+    auto run_phase = [&](int count) {
+        for (int i = 0; i < count; ++i) {
+            InferRequest req =
+                syntheticRequest(body, next_id++, 6, config.vocabSize);
+            if (i % 3 == 0)
+                req.deadline = monoAddMicros(monoNow(), -1000);
+            const InferReply reply = server.submit(std::move(req)).get();
+            EXPECT_EQ(reply.ok, i % 3 != 0) << "request " << i;
+        }
+    };
+
+    run_phase(9); // warm-up: 3 refused, 6 completed
+    server.resetStats();
+    run_phase(12); // measured: 4 refused, 8 completed
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.completed, 8);
+    EXPECT_EQ(stats.rejectedExpired, 4);
+    EXPECT_EQ(stats.completed + stats.rejectedTotal(), 12);
+}
+
+TEST(ServeStats, ResetRejectedCountsZeroesEveryReason)
+{
+    ResolvedServePolicy policy = makePolicy(8, 60000000);
+    policy.queueCap = 1;
+    policy.queuePolicy = QueuePolicy::RejectNew;
+    policy.degrade = false;
+    DynamicBatcher batcher(BucketSpec({8}), policy);
+
+    // One refusal of each reason, each funnelled through
+    // resolveRejected as the server does.
+    auto refuse = [&](PendingRequest p) {
+        const RejectReason reason = batcher.submit(p);
+        EXPECT_NE(reason, RejectReason::None);
+        batcher.resolveRejected(p, reason);
+    };
+    const MonoTime t0 = monoNow();
+    PendingRequest queued = makePending(1, 4, t0, 60000000);
+    EXPECT_EQ(batcher.submit(queued), RejectReason::None);
+    refuse(makePending(2, 4, t0, 60000000));  // QueueFull
+    refuse(makePending(3, 4, t0, -1000));     // Expired
+    refuse(makePending(4, 9, t0, 60000000));  // Overlong
+    batcher.close();
+    refuse(makePending(5, 4, t0, 60000000));  // Shutdown
+
+    const RejectReason reasons[] = {
+        RejectReason::Expired, RejectReason::QueueFull,
+        RejectReason::Shutdown, RejectReason::Overlong};
+    for (RejectReason reason : reasons)
+        EXPECT_EQ(batcher.rejectedCount(reason), 1)
+            << rejectReasonName(reason);
+
+    batcher.resetRejectedCounts();
+    for (RejectReason reason : reasons)
+        EXPECT_EQ(batcher.rejectedCount(reason), 0)
+            << rejectReasonName(reason);
+
+    // Counting resumes from zero after the reset.
+    refuse(makePending(6, 4, t0, 60000000));
+    EXPECT_EQ(batcher.rejectedCount(RejectReason::Shutdown), 1);
+}
+
+TEST(ServeStats, ConservationHoldsAcrossRepeatedResets)
+{
+    const BertConfig config = tinyBertConfig();
+    NnRuntime rt;
+    BertClassifier clf(config, &rt);
+    Rng init(84);
+    clf.initialize(init);
+    clf.setTraining(false);
+    ClassifierEngine engine(clf, kPadId);
+
+    ServeOptions options;
+    options.defaultDeadlineUs = 60000000; // only dead-on-arrival expires
+    InferenceServer server(engine, BucketSpec({8, 16}), options);
+
+    // Per phase: every fourth request is too long for the top bucket
+    // (Overlong), every fourth after that is dead on arrival
+    // (Expired), the rest complete.
+    Rng body(85);
+    std::uint64_t next_id = 0;
+    auto run_phase = [&](int count) {
+        for (int i = 0; i < count; ++i) {
+            const std::int64_t len = (i % 4 == 0) ? 17 : 6;
+            InferRequest req =
+                syntheticRequest(body, next_id++, len, config.vocabSize);
+            if (i % 4 == 1)
+                req.deadline = monoAddMicros(monoNow(), -1000);
+            const InferReply reply = server.submit(std::move(req)).get();
+            EXPECT_EQ(reply.ok, i % 4 >= 2) << "request " << i;
+        }
+    };
+
+    for (int phase = 0; phase < 3; ++phase) {
+        server.resetStats();
+        run_phase(8); // 2 Overlong, 2 Expired, 4 completed
+        const ServerStats stats = server.stats();
+        EXPECT_EQ(stats.completed, 4) << "phase " << phase;
+        EXPECT_EQ(stats.rejectedOverlong, 2) << "phase " << phase;
+        EXPECT_EQ(stats.rejectedExpired, 2) << "phase " << phase;
+        EXPECT_EQ(stats.rejectedQueueFull, 0) << "phase " << phase;
+        EXPECT_EQ(stats.rejectedShutdown, 0) << "phase " << phase;
+        EXPECT_EQ(stats.completed + stats.rejectedTotal(), 8)
+            << "phase " << phase;
+    }
 }
 
 // --------------------------------------------------------------------

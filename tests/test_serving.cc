@@ -5,7 +5,8 @@
  * max-batch/max-wait/close policy, latency percentiles, the Poisson
  * schedule — and the tentpole numerical property: a request's logits
  * are bitwise identical whether it runs solo, inside a mixed-length
- * bucketed batch, or padded up a bucket, at 1 and at 8 threads.
+ * bucketed batch, or padded up a bucket, at 1 and at 8 threads, on
+ * the unfused and the fused kernel paths.
  */
 
 #include <cstring>
@@ -280,9 +281,10 @@ sameRow(const InferReply &a, const InferReply &b)
  * and every other op is row-local.
  */
 void
-runPaddingInvariance(int num_threads)
+runPaddingInvariance(int num_threads, FusionMode fusion)
 {
     setNumThreads(num_threads);
+    setFusionMode(fusion);
     const BertConfig config = tinyBertConfig();
     NnRuntime rt;
     BertClassifier clf(config, &rt);
@@ -343,16 +345,27 @@ runPaddingInvariance(int num_threads)
     EXPECT_TRUE(sameRow(solo[0], padded[0]))
         << "padding to a larger bucket changed the probe's logits";
     setNumThreads(0);
+    clearFusionModeOverride();
 }
 
 TEST(PaddingInvariance, BitwiseAtOneThread)
 {
-    runPaddingInvariance(1);
+    runPaddingInvariance(1, FusionMode::Off);
 }
 
 TEST(PaddingInvariance, BitwiseAtEightThreads)
 {
-    runPaddingInvariance(8);
+    runPaddingInvariance(8, FusionMode::Off);
+}
+
+TEST(PaddingInvariance, FusedBitwiseAtOneThread)
+{
+    runPaddingInvariance(1, FusionMode::On);
+}
+
+TEST(PaddingInvariance, FusedBitwiseAtEightThreads)
+{
+    runPaddingInvariance(8, FusionMode::On);
 }
 
 } // namespace

@@ -1,5 +1,8 @@
 /** Tests for Shape and Tensor. */
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "tensor/shape.h"
@@ -72,6 +75,23 @@ TEST(Tensor, CloneIsDeep)
     Tensor b = a.clone();
     b.at(0) = 9.0f;
     EXPECT_EQ(a.at(0), 1.0f);
+}
+
+TEST(Tensor, CopyOwnsStorageAndMoveKeepsIt)
+{
+    // Every tensor owns its storage: a copy gets its own buffer, and
+    // a move hands the same buffer over without copying it.
+    Tensor a(Shape({3}), std::vector<float>{1.0f, 2.0f, 3.0f});
+    Tensor copy = a;
+    EXPECT_NE(copy.data(), a.data());
+    copy.at(1) = 9.0f;
+    EXPECT_EQ(a.at(1), 2.0f);
+
+    const float *storage = a.data();
+    Tensor moved = std::move(a);
+    EXPECT_EQ(moved.data(), storage);
+    EXPECT_EQ(moved.shape(), Shape({3}));
+    EXPECT_EQ(moved.at(2), 3.0f);
 }
 
 TEST(Tensor, ReshapePreservesData)

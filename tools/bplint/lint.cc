@@ -199,37 +199,6 @@ checkIncludeHygiene(const TuModel &tu, std::vector<Finding> &out)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: arena-escape
-// ---------------------------------------------------------------------------
-
-// Tensor::borrow wraps raw arena storage in a non-owning view whose
-// lifetime is bounded by the executor's plan. Only the graph layer
-// (which owns the arena) and the tensor layer (which defines the
-// type) may mint such views; anywhere else a borrowed view could
-// outlive its backing buffer.
-void
-checkArenaEscape(const TuModel &tu, std::vector<Finding> &out)
-{
-    const std::string &path = tu.path;
-    const std::string &s = tu.stripped;
-    const std::size_t sp = path.rfind("src/");
-    if (sp == std::string::npos)
-        return;
-    const std::string rel = path.substr(sp + 4);
-    if (rel.rfind("graph/", 0) == 0 || rel.rfind("tensor/", 0) == 0)
-        return;
-    std::size_t pos = 0;
-    while ((pos = s.find("Tensor::borrow", pos)) != std::string::npos) {
-        out.push_back(
-            {path, lineOf(s, pos), "arena-escape",
-             "Tensor::borrow outside src/graph creates a non-owning "
-             "view that can outlive its arena; only the graph "
-             "executor may bind borrowed storage"});
-        pos += 14;
-    }
-}
-
 void
 sortFindings(std::vector<Finding> &v)
 {
@@ -270,12 +239,6 @@ layerMap()
         // runtime profiler's sink, not direct dependencies, so the
         // substrate stays recordable without being recorder-aware.
         {"telemetry", {"telemetry", "io", "runtime", "trace", "util"}},
-        // The graph executor sits above nn: it builds op lists out of
-        // nn modules and interprets them over ops kernels. Nothing
-        // below it (nn/ops/tensor/...) may include graph — nn reaches
-        // it only through the nn/graph_hook.h seam.
-        {"graph",
-         {"graph", "nn", "ops", "runtime", "tensor", "trace", "util"}},
         {"dist", {"dist", "perf", "trace", "tensor", "util"}},
         {"nmc", {"nmc", "dist", "perf", "trace", "tensor", "util"}},
         // The serving runtime sits beside core at the top of the
@@ -284,7 +247,7 @@ layerMap()
         // in particular core must stay serving-free, so embedding the
         // substrate never drags in the server.
         {"serve",
-         {"serve", "graph", "nn", "io", "ops", "runtime", "telemetry",
+         {"serve", "nn", "io", "ops", "runtime", "telemetry",
           "tensor", "trace", "util"}},
         {"core",
          {"core", "data", "dist", "io", "nmc", "nn", "optim", "ops",
@@ -312,7 +275,7 @@ ruleNames()
             "parallel-capture-race", "hot-loop-alloc",
             "must-check-io",      "env-registry",
             "include-hygiene",    "include-dag",
-            "unchecked-io",       "arena-escape"};
+            "unchecked-io"};
 }
 
 std::vector<Finding>
@@ -330,7 +293,6 @@ lintProject(const std::vector<SourceFile> &files, const LintOptions &opts)
         checkOpsKernels(tu, raw);
         checkUncheckedIo(tu, raw);
         checkIncludeHygiene(tu, raw);
-        checkArenaEscape(tu, raw);
         checkParallelCaptureRace(pm, tu, raw);
         checkHotLoopAlloc(tu, raw);
         checkMustCheckIo(pm, tu, raw);
