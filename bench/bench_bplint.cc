@@ -4,27 +4,26 @@
  * real repository scan set (src bench tests tools examples plus the
  * README env-knob table), then times whole-project lintProject()
  * passes — phase-1 TU models, the cross-TU ProjectModel, and all
- * twelve rules per pass. The linter guards every build, so it carries
+ * eleven rules per pass. The linter guards every build, so it carries
  * an explicit latency budget: a pass over the full tree must stay
  * under 2 seconds, and the process exits nonzero when the median pass
  * blows it (the lint-labeled smoke test turns a regression into a
  * test failure).
  *
  * Usage: bench_bplint [--quick] [--json <path>]
+ *   --quick runs 3 passes instead of 10.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness.h"
 #include "lint.h"
-#include "util/stopwatch.h"
-#include "util/table.h"
 
 namespace fs = std::filesystem;
 
@@ -68,14 +67,8 @@ readScanSet(const fs::path &root)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    namespace bench = bertprof::bench;
+    const bench::Args args = bench::parseArgs(argc, argv);
 
     const fs::path root(BERTPROF_SOURCE_DIR);
     const std::vector<bplint::SourceFile> files = readScanSet(root);
@@ -102,59 +95,28 @@ main(int argc, char **argv)
             std::count(f.text.begin(), f.text.end(), '\n'));
     }
 
-    const int reps = quick ? 3 : 10;
-    std::vector<double> ms;
+    const int reps = args.quick ? 3 : 10;
     std::size_t findings = 0;
-    for (int r = 0; r < reps; ++r) {
-        const bertprof::MonoTime start = bertprof::monoNow();
-        const auto out = bplint::lintProject(files, opts);
-        ms.push_back(
-            bertprof::secondsBetween(start, bertprof::monoNow()) * 1e3);
-        findings = out.size();
-    }
-    std::sort(ms.begin(), ms.end());
-    const double median = ms[ms.size() / 2];
-    const double best = ms.front();
+    const bench::Stats pass = bench::runRoundRobin(
+        {{nullptr,
+          [&] { findings = bplint::lintProject(files, opts).size(); }}},
+        reps)[0];
 
-    bertprof::Table table("bplint whole-tree analysis (" +
-                          std::to_string(files.size()) + " files, " +
-                          std::to_string(lines) + " lines)");
-    table.setHeader({"Metric", "Value"});
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.1f ms", median);
-    table.addRow({"median pass", buf});
-    std::snprintf(buf, sizeof(buf), "%.1f ms", best);
-    table.addRow({"best pass", buf});
-    std::snprintf(buf, sizeof(buf), "%.1f MB/s",
-                  static_cast<double>(bytes) / 1e6 / (median / 1e3));
-    table.addRow({"throughput", buf});
-    table.addRow({"findings", std::to_string(findings)});
-    std::printf("%s\n", table.render().c_str());
+    bench::Report report("bench_bplint", args);
+    report.config("reps", reps);
+    report.config("files", static_cast<double>(files.size()));
+    report.config("lines", static_cast<double>(lines));
+    report.config("bytes", static_cast<double>(bytes));
+    report.config("budget_ms", kBudgetMs);
+    report.millis("lint.pass_ms", pass);
+    report.rate("lint.throughput", "MB/s", static_cast<double>(bytes) / 1e6,
+                pass);
+    report.value("lint.findings", static_cast<double>(findings), "count");
+    const int status = report.emit();
 
-    const bool within = median < kBudgetMs;
-    std::printf("budget: median %.1f ms %s %.0f ms limit\n", median,
+    const double median_ms = pass.median * 1e3;
+    const bool within = median_ms < kBudgetMs;
+    std::printf("budget: median %.1f ms %s %.0f ms limit\n", median_ms,
                 within ? "within" : "EXCEEDS", kBudgetMs);
-
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n  \"bench\": \"bench_bplint\",\n");
-        std::fprintf(f,
-                     "  \"config\": {\"reps\": %d, \"quick\": %s},\n",
-                     reps, quick ? "true" : "false");
-        std::fprintf(
-            f,
-            "  \"lint\": {\"files\": %zu, \"lines\": %zu, \"bytes\": "
-            "%zu,\n    \"median_ms\": %.3f, \"best_ms\": %.3f, "
-            "\"findings\": %zu,\n    \"budget_ms\": %.0f, "
-            "\"within_budget\": %s}\n}\n",
-            files.size(), lines, bytes, median, best, findings,
-            kBudgetMs, within ? "true" : "false");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-    return within ? 0 : 1;
+    return within ? status : 1;
 }

@@ -4,49 +4,33 @@
  * speedup at 1/2/4/8 threads for the paper's Table 2b GEMM shapes
  * (linear projection GEMM plus the B*h batched attention GEMMs) and
  * for the fused-vs-unfused Adam update loops (the Fig. 12a fusion
- * study's optimizer kernels). All timing uses the monotonic
- * Stopwatch (std::chrono::steady_clock).
+ * study's optimizer kernels). Thread counts of one kernel run
+ * round-robin on the bench harness; speedups are per-rep ratios
+ * against the 1-thread run of the same round.
  *
- * Usage: bench_cpu_parallel_scaling [--quick]
+ * Usage: bench_cpu_parallel_scaling [--quick] [--json <path>]
  *   --quick shrinks shapes and the thread sweep for CI smoke runs.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/bertprof.h"
+#include "harness.h"
 #include "ops/gemm.h"
 #include "runtime/config.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 
 using namespace bertprof;
 
 namespace {
 
-/** Best-of-reps wall time of fn() in seconds (monotonic clock). */
-Seconds
-timeBest(int reps, const std::function<void()> &fn)
-{
-    Seconds best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        Stopwatch watch;
-        fn();
-        const Seconds t = watch.elapsed();
-        if (r == 0 || t < best)
-            best = t;
-    }
-    return best;
-}
-
 struct Case {
-    std::string name;
+    std::string name; ///< metric prefix
+    std::string shape;
     std::function<void()> run;
-    int reps = 3;
 };
 
 } // namespace
@@ -54,7 +38,8 @@ struct Case {
 int
 main(int argc, char **argv)
 {
-    const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+    const bench::Args args = bench::parseArgs(argc, argv);
+    const bool quick = args.quick;
 
     // Phase-1 BERT-Large geometry (Table 2b): n = 128, h = 16,
     // d_head = 64, d_model = 1024. The batch is sized so the full
@@ -67,7 +52,7 @@ main(int argc, char **argv)
     const std::int64_t d_model = quick ? 256 : 1024;
     const std::int64_t tokens = batch * seq;
     const std::int64_t adam_numel = quick ? 1 << 16 : 1 << 21;
-    const int reps = quick ? 1 : 3;
+    const int reps = quick ? 2 : 5;
 
     Rng rng(1234);
     // Attention score: [B*h] n x n x d_head.
@@ -86,84 +71,70 @@ main(int argc, char **argv)
     x.fillNormal(rng);
     w.fillNormal(rng);
 
-    // Optimizer loops: one big flat parameter, a few steps.
-    const auto run_optimizer = [&](bool fused) {
-        Parameter p("bench.p", Shape({adam_numel}));
+    // Optimizer updates: one big flat parameter per variant, built
+    // once outside the timed region, so a rep times one step only.
+    Parameter p_fused("bench.fused", Shape({adam_numel}));
+    Parameter p_unfused("bench.unfused", Shape({adam_numel}));
+    for (Parameter *p : {&p_fused, &p_unfused}) {
         Rng prng(77);
-        p.value.fillNormal(prng);
-        p.grad.fillNormal(prng);
-        OptimizerConfig config;
-        if (fused) {
-            Adam adam(config);
-            for (int s = 0; s < 2; ++s)
-                adam.step({&p});
-        } else {
-            UnfusedAdam adam(config);
-            for (int s = 0; s < 2; ++s)
-                adam.step({&p});
-        }
-    };
+        p->value.fillNormal(prng);
+        p->grad.fillNormal(prng);
+    }
+    Adam adam{OptimizerConfig{}};
+    UnfusedAdam unfused_adam{OptimizerConfig{}};
 
-    std::vector<Case> cases;
-    cases.push_back({"attn_score bGEMM [" + std::to_string(groups) + "] " +
-                         std::to_string(seq) + "x" + std::to_string(seq) +
-                         "x" + std::to_string(d_head),
-                     [&] { batchedGemm(q, kT, scores, false, true); }, reps});
-    cases.push_back({"attn_out   bGEMM [" + std::to_string(groups) + "] " +
-                         std::to_string(seq) + "x" + std::to_string(d_head) +
-                         "x" + std::to_string(seq),
-                     [&] { batchedGemm(probs, v, ctx); }, reps});
-    cases.push_back({"linear      GEMM " + std::to_string(tokens) + "x" +
-                         std::to_string(d_model) + "x" +
-                         std::to_string(d_model),
-                     [&] { gemm(x, w, y); }, quick ? 1 : 2});
-    cases.push_back({"adam fused   " + std::to_string(adam_numel) + " elems",
-                     [&] { run_optimizer(true); }, reps});
-    cases.push_back({"adam unfused " + std::to_string(adam_numel) + " elems",
-                     [&] { run_optimizer(false); }, reps});
+    const auto dims = [](std::int64_t m, std::int64_t n, std::int64_t k) {
+        return std::to_string(m) + "x" + std::to_string(n) + "x" +
+               std::to_string(k);
+    };
+    const std::string bh =
+        std::string("[").append(std::to_string(groups)).append("] ");
+    const std::vector<Case> cases = {
+        {"attn_score_bgemm", bh + dims(seq, seq, d_head),
+         [&] { batchedGemm(q, kT, scores, false, true); }},
+        {"attn_out_bgemm", bh + dims(seq, d_head, seq),
+         [&] { batchedGemm(probs, v, ctx); }},
+        {"linear_gemm", dims(tokens, d_model, d_model),
+         [&] { gemm(x, w, y); }},
+        {"adam_fused", std::to_string(adam_numel) + " elems",
+         [&] { adam.step({&p_fused}); }},
+        {"adam_unfused", std::to_string(adam_numel) + " elems",
+         [&] { unfused_adam.step({&p_unfused}); }},
+    };
 
     const std::vector<int> thread_counts =
         quick ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
 
-    std::printf("CPU parallel scaling (work-stealing pool, "
-                "deterministic chunking)\n");
-    std::printf("hardware_concurrency = %u\n",
-                std::thread::hardware_concurrency());
-
-    Table table("Speedup over 1 thread (best of " + std::to_string(reps) +
-                ", steady_clock seconds)");
-    std::vector<std::string> header = {"Kernel"};
-    for (const int t : thread_counts)
-        header.push_back("t=" + std::to_string(t));
-    header.push_back("speedup@4" );
-    table.setHeader(header);
-
-    for (const Case &c : cases) {
-        std::vector<Seconds> seconds;
-        for (const int t : thread_counts) {
-            setNumThreads(t);
-            c.run(); // warm-up: page in buffers, spin up workers
-            seconds.push_back(timeBest(c.reps, c.run));
-        }
-        setNumThreads(0);
-
-        std::vector<std::string> row = {c.name};
-        for (const Seconds s : seconds)
-            row.push_back(formatSeconds(s));
-        double speedup4 = 0.0;
-        for (std::size_t i = 0; i < thread_counts.size(); ++i)
-            if (thread_counts[i] == 4)
-                speedup4 = seconds[0] / seconds[i];
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.2fx", speedup4);
-        row.push_back(thread_counts.back() >= 4 ? buf : "n/a");
-        table.addRow(row);
+    bench::Report report("bench_cpu_parallel_scaling", args);
+    std::string sweep;
+    for (const int t : thread_counts) {
+        if (!sweep.empty())
+            sweep += ",";
+        sweep += std::to_string(t);
     }
-    std::printf("%s\n", table.render().c_str());
+    report.config("thread_counts", sweep);
+    report.config("reps", reps);
+    for (const Case &c : cases) {
+        report.config(c.name, c.shape);
+        std::vector<bench::Config> configs;
+        for (const int t : thread_counts)
+            configs.push_back({[t] { setNumThreads(t); }, c.run});
+        const std::vector<bench::Stats> stats =
+            bench::runRoundRobin(configs, reps);
+        for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+            const std::string t = std::to_string(thread_counts[i]);
+            report.millis(c.name + ".t" + t + "_ms", stats[i]);
+            if (i > 0)
+                report.stats(c.name + ".speedup_t" + t, "x",
+                             bench::pairedRatio(stats[0], stats[i]));
+        }
+    }
+    setNumThreads(0);
+
     std::printf(
-        "Note: speedup is bounded by the physical cores of this host;\n"
-        "on a 1-core container all thread counts time the same serial\n"
-        "work plus pool overhead. Outputs are bitwise identical at\n"
-        "every thread count (see tests/test_parallel_determinism.cc).\n");
-    return 0;
+        "Speedup is bounded by the physical cores of this host; on a\n"
+        "1-core container all thread counts time the same serial work\n"
+        "plus pool overhead. Outputs are bitwise identical at every\n"
+        "thread count (see tests/test_parallel_determinism.cc).\n");
+    return report.emit();
 }

@@ -1,15 +1,24 @@
 /**
  * @file
- * Google-benchmark microbenchmarks of the executable CPU substrate:
- * the individual kernels (GEMM, softmax, LayerNorm, GeLU, dropout,
- * LAMB step) and a full tiny-BERT training iteration. These are real
- * measured times (the repo's equivalent of the paper's rocProf runs,
- * scaled down to CPU-tractable sizes).
+ * Microbenchmarks of the executable CPU substrate: the individual
+ * kernels (GEMM, softmax, LayerNorm, GeLU, LAMB and Adam steps) and a
+ * full tiny-BERT training iteration. These are real measured times
+ * (the repo's equivalent of the paper's rocProf runs, scaled down to
+ * CPU-tractable sizes); every case is one harness configuration and
+ * reports the median per-call time with its quartiles.
+ *
+ * Usage: bench_cpu_substrate [--quick] [--json <path>]
+ *   --quick runs fewer reps for CI smoke runs.
  */
 
-#include <benchmark/benchmark.h>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/bertprof.h"
+#include "harness.h"
 #include "ops/activation.h"
 #include "ops/gemm.h"
 #include "ops/layernorm.h"
@@ -37,136 +46,98 @@ tinyConfig()
     return config;
 }
 
-void
-BM_Gemm(benchmark::State &state)
-{
-    const std::int64_t dim = state.range(0);
-    Rng rng;
-    Tensor a(Shape({dim, dim})), b(Shape({dim, dim})), c(Shape({dim, dim}));
-    a.fillNormal(rng);
-    b.fillNormal(rng);
-    for (auto _ : state) {
-        gemm(a, b, c);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * dim * dim * dim);
-}
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+} // namespace
 
-void
-BM_BatchedGemmAttentionScore(benchmark::State &state)
+int
+main(int argc, char **argv)
 {
-    // The attention-score shape: n x n x d/h over B*h groups.
-    const std::int64_t n = 32, dh = 16, bh = 8;
+    const bench::Args args = bench::parseArgs(argc, argv);
+    const int reps = args.quick ? 3 : 30;
     Rng rng;
-    Tensor q(Shape({bh, n, dh})), k(Shape({bh, n, dh})),
-        s(Shape({bh, n, n}));
-    q.fillNormal(rng);
-    k.fillNormal(rng);
-    for (auto _ : state) {
-        batchedGemm(q, k, s, false, true);
-        benchmark::DoNotOptimize(s.data());
-    }
-}
-BENCHMARK(BM_BatchedGemmAttentionScore);
 
-void
-BM_Softmax(benchmark::State &state)
-{
-    const std::int64_t rows = state.range(0);
-    Rng rng;
-    Tensor x(Shape({rows, 128})), y(x.shape());
-    x.fillNormal(rng);
-    for (auto _ : state) {
-        softmaxForward(x, y);
-        benchmark::DoNotOptimize(y.data());
-    }
-}
-BENCHMARK(BM_Softmax)->Arg(256)->Arg(1024);
+    struct Case {
+        std::string name; ///< metric prefix
+        std::function<void()> run;
+        double flops = 0.0; ///< > 0: also report GFLOP/s
+    };
+    std::vector<Case> cases;
+    // Operands live until main returns (a deque never moves its
+    // elements); the cases capture them by pointer.
+    std::deque<Tensor> tensors;
+    const auto keep = [&](Shape shape, bool random) {
+        Tensor &t = tensors.emplace_back(std::move(shape));
+        if (random)
+            t.fillNormal(rng);
+        return &t;
+    };
 
-void
-BM_LayerNorm(benchmark::State &state)
-{
-    const std::int64_t rows = state.range(0);
-    Rng rng;
-    Tensor x(Shape({rows, 256})), y(x.shape());
-    Tensor gamma(Shape({256})), beta(Shape({256}));
-    Tensor mean(Shape({rows})), rstd(Shape({rows}));
-    gamma.fill(1.0f);
-    x.fillNormal(rng);
-    for (auto _ : state) {
-        layerNormForward(x, gamma, beta, y, mean, rstd);
-        benchmark::DoNotOptimize(y.data());
+    for (const std::int64_t dim : {64, 128, 256}) {
+        Tensor *a = keep(Shape({dim, dim}), true);
+        Tensor *b = keep(Shape({dim, dim}), true);
+        Tensor *c = keep(Shape({dim, dim}), false);
+        cases.push_back({"gemm_" + std::to_string(dim),
+                         [=] { gemm(*a, *b, *c); },
+                         2.0 * static_cast<double>(dim * dim * dim)});
     }
-}
-BENCHMARK(BM_LayerNorm)->Arg(256)->Arg(1024);
-
-void
-BM_Gelu(benchmark::State &state)
-{
-    Rng rng;
-    Tensor x(Shape({state.range(0)})), y(x.shape());
-    x.fillNormal(rng);
-    for (auto _ : state) {
-        geluForward(x, y);
-        benchmark::DoNotOptimize(y.data());
+    {
+        // The attention-score shape: n x n x d/h over B*h groups.
+        const std::int64_t n = 32, dh = 16, bh = 8;
+        Tensor *q = keep(Shape({bh, n, dh}), true);
+        Tensor *k = keep(Shape({bh, n, dh}), true);
+        Tensor *s = keep(Shape({bh, n, n}), false);
+        cases.push_back({"attn_score_bgemm",
+                         [=] { batchedGemm(*q, *k, *s, false, true); }});
     }
-}
-BENCHMARK(BM_Gelu)->Arg(1 << 14)->Arg(1 << 18);
-
-void
-BM_LambStep(benchmark::State &state)
-{
-    Rng rng;
-    Parameter param("w", Shape({state.range(0)}));
-    param.value.fillNormal(rng);
-    param.grad.fillNormal(rng);
-    Lamb lamb(OptimizerConfig{});
-    std::vector<Parameter *> params{&param};
-    for (auto _ : state) {
-        lamb.step(params);
-        benchmark::DoNotOptimize(param.value.data());
+    for (const std::int64_t rows : {256, 1024}) {
+        Tensor *x = keep(Shape({rows, 128}), true);
+        Tensor *y = keep(x->shape(), false);
+        cases.push_back({"softmax_" + std::to_string(rows),
+                         [=] { softmaxForward(*x, *y); }});
     }
-}
-BENCHMARK(BM_LambStep)->Arg(1 << 14)->Arg(1 << 18);
-
-void
-BM_UnfusedAdamStep(benchmark::State &state)
-{
-    // The real-execution counterpart of Fig. 12a: same update as
-    // BM_AdamStep-equivalent below but one kernel per elementary op.
-    Rng rng;
-    Parameter param("w", Shape({state.range(0)}));
-    param.value.fillNormal(rng);
-    param.grad.fillNormal(rng);
-    UnfusedAdam adam(OptimizerConfig{});
-    std::vector<Parameter *> params{&param};
-    for (auto _ : state) {
-        adam.step(params);
-        benchmark::DoNotOptimize(param.value.data());
+    for (const std::int64_t rows : {256, 1024}) {
+        Tensor *x = keep(Shape({rows, 256}), true);
+        Tensor *y = keep(x->shape(), false);
+        Tensor *gamma = keep(Shape({256}), false);
+        Tensor *beta = keep(Shape({256}), false);
+        Tensor *mean = keep(Shape({rows}), false);
+        Tensor *rstd = keep(Shape({rows}), false);
+        gamma->fill(1.0f);
+        cases.push_back(
+            {"layernorm_" + std::to_string(rows),
+             [=] { layerNormForward(*x, *gamma, *beta, *y, *mean, *rstd); }});
     }
-}
-BENCHMARK(BM_UnfusedAdamStep)->Arg(1 << 14)->Arg(1 << 18);
-
-void
-BM_FusedAdamStep(benchmark::State &state)
-{
-    Rng rng;
-    Parameter param("w", Shape({state.range(0)}));
-    param.value.fillNormal(rng);
-    param.grad.fillNormal(rng);
-    Adam adam(OptimizerConfig{});
-    std::vector<Parameter *> params{&param};
-    for (auto _ : state) {
-        adam.step(params);
-        benchmark::DoNotOptimize(param.value.data());
+    for (const std::int64_t numel : {1 << 14, 1 << 18}) {
+        Tensor *x = keep(Shape({numel}), true);
+        Tensor *y = keep(x->shape(), false);
+        cases.push_back({"gelu_" + std::to_string(numel),
+                         [=] { geluForward(*x, *y); }});
     }
-}
-BENCHMARK(BM_FusedAdamStep)->Arg(1 << 14)->Arg(1 << 18);
 
-void
-BM_TinyBertIteration(benchmark::State &state)
-{
+    // Optimizer steps (the real-execution counterpart of Fig. 12a:
+    // UnfusedAdam runs one kernel per elementary op).
+    std::deque<Parameter> params;
+    std::vector<std::unique_ptr<Optimizer>> optimizers;
+    const auto addStep = [&](const std::string &name,
+                             std::unique_ptr<Optimizer> opt,
+                             std::int64_t numel) {
+        Parameter *p = &params.emplace_back("w", Shape({numel}));
+        p->value.fillNormal(rng);
+        p->grad.fillNormal(rng);
+        optimizers.push_back(std::move(opt));
+        Optimizer *o = optimizers.back().get();
+        cases.push_back({name + "_" + std::to_string(numel),
+                         [=] { o->step({p}); }});
+    };
+    for (const std::int64_t numel : {1 << 14, 1 << 18}) {
+        addStep("lamb_step", std::make_unique<Lamb>(OptimizerConfig{}),
+                numel);
+        addStep("unfused_adam_step",
+                std::make_unique<UnfusedAdam>(OptimizerConfig{}), numel);
+        addStep("fused_adam_step",
+                std::make_unique<Adam>(OptimizerConfig{}), numel);
+    }
+
+    // One full tiny-BERT training iteration.
     const BertConfig config = tinyConfig();
     NnRuntime rt;
     rt.dropoutP = 0.0f;
@@ -175,17 +146,28 @@ BM_TinyBertIteration(benchmark::State &state)
     trainer.initialize(init_rng);
     SyntheticDataset dataset(config, 11);
     Lamb lamb(OptimizerConfig{});
-    auto params = trainer.parameters();
-    for (auto _ : state) {
-        const PretrainBatch batch = dataset.nextBatch();
-        trainer.zeroGrad();
-        auto result = trainer.forwardBackward(batch);
-        lamb.step(params);
-        benchmark::DoNotOptimize(result.mlmLoss);
+    const std::vector<Parameter *> trainer_params = trainer.parameters();
+    cases.push_back({"tiny_bert_iteration", [&] {
+                         const PretrainBatch batch = dataset.nextBatch();
+                         trainer.zeroGrad();
+                         (void)trainer.forwardBackward(batch);
+                         lamb.step(trainer_params);
+                     }});
+
+    std::vector<bench::Config> configs;
+    for (const Case &c : cases)
+        configs.push_back({nullptr, c.run});
+    const std::vector<bench::Stats> stats =
+        bench::runRoundRobin(configs, reps);
+
+    bench::Report report("bench_cpu_substrate", args);
+    report.config("reps", reps);
+    report.config("tiny_bert", "2 layers, d_model 64, B=2, n=32, LAMB");
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        report.millis(cases[i].name + ".ms", stats[i]);
+        if (cases[i].flops > 0.0)
+            report.rate(cases[i].name + ".gflops", "GFLOP/s",
+                        cases[i].flops * 1e-9, stats[i]);
     }
+    return report.emit();
 }
-BENCHMARK(BM_TinyBertIteration)->Unit(benchmark::kMillisecond);
-
-} // namespace
-
-BENCHMARK_MAIN();

@@ -6,33 +6,30 @@
  * analytical prediction is reported: the kernel-count and memory-
  * traffic ratios from the same runs' KernelStats (traffic ratio is
  * the roofline memory-bound speedup upper bound; GEMM-heavy spans are
- * compute-bound, so the measured ratio sits below it).
+ * compute-bound, so the measured ratio sits below it). Fused and
+ * unfused reps run round-robin on the bench harness, so host drift
+ * lands on both paths alike; speedups are per-rep ratios.
  *
  * Usage: bench_fusion [--quick] [--json <path>]
  */
 
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <functional>
 #include <future>
+#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/bertprof.h"
+#include "harness.h"
 #include "nn/encoder_layer.h"
 #include "runtime/config.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
-#include "util/stopwatch.h"
 
 using namespace bertprof;
 
 namespace {
 
 struct Measurement {
-    double ms = 0.0;
     std::int64_t kernels = 0;
     double bytes = 0.0;
 };
@@ -52,54 +49,19 @@ profileOnce(Profiler &prof, Fn &&fn)
     return m;
 }
 
-/** Per-rep wall times for several configurations, sampled round-robin
- * so host-level drift (frequency scaling, noisy neighbours on a
- * shared VM) lands on every configuration equally instead of biasing
- * whichever one happened to run last. Each entry of `configs` is
- * {enter-mode, body}; the median per-rep time is returned per config
- * — shared-host noise is strictly additive, so the median tracks the
- * undisturbed cost while a mean absorbs every preemption spike. */
-using TimedConfig =
-    std::pair<std::function<void()>, std::function<void()>>;
-
-std::vector<double>
-medianInterleaved(const std::vector<TimedConfig> &configs, int reps)
+/** Submit `count` mixed-length requests to `server` and wait for
+ * every reply (closed loop: all in flight at once). */
+void
+serveBurst(InferenceServer &server, std::int64_t vocab, int count)
 {
-    std::vector<std::vector<double>> samples(configs.size());
-    for (int r = 0; r < reps; ++r) {
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            configs[c].first();
-            const MonoTime start = monoNow();
-            configs[c].second();
-            samples[c].push_back(secondsBetween(start, monoNow()) * 1e3);
-        }
-    }
-    std::vector<double> medians(configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        std::sort(samples[c].begin(), samples[c].end());
-        medians[c] = samples[c][samples[c].size() / 2];
-    }
-    return medians;
-}
-
-double
-serveQps(BertClassifier &clf, std::int64_t vocab, int count)
-{
-    ClassifierEngine engine(clf, /*pad_id=*/3);
-    ServeOptions options;
-    options.maxBatch = 8;
-    options.maxWaitUs = 500;
-    InferenceServer server(engine, BucketSpec({32, 64, 128}), options);
     Rng body(99);
     std::vector<std::future<InferReply>> futures;
-    const MonoTime start = monoNow();
     for (int id = 0; id < count; ++id)
         futures.push_back(server.submit(syntheticRequest(
             body, static_cast<std::uint64_t>(id), 16 + (id % 5) * 24,
             vocab)));
     for (auto &f : futures)
         f.wait();
-    return count / secondsBetween(start, monoNow());
 }
 
 } // namespace
@@ -107,14 +69,8 @@ serveQps(BertClassifier &clf, std::int64_t vocab, int count)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    const bench::Args args = bench::parseArgs(argc, argv);
+    const bool quick = args.quick;
 
     const std::int64_t d_model = quick ? 128 : 256;
     const int heads = quick ? 4 : 8;
@@ -147,11 +103,9 @@ main(int argc, char **argv)
     enter_fused();
     Measurement eval_fused = profileOnce(prof, eval_forward);
 
-    const std::vector<double> eval_ms = medianInterleaved(
+    const std::vector<bench::Stats> eval_t = bench::runRoundRobin(
         {{enter_unfused, eval_forward}, {enter_fused, eval_forward}},
         reps);
-    eval_unfused.ms = eval_ms[0];
-    eval_fused.ms = eval_ms[1];
 
     // -- Training forward+backward --
     layer.setTraining(true);
@@ -167,10 +121,8 @@ main(int argc, char **argv)
     Measurement train_unfused = profileOnce(prof, train_step);
     setFusionMode(FusionMode::On);
     Measurement train_fused = profileOnce(prof, train_step);
-    const std::vector<double> train_ms = medianInterleaved(
+    const std::vector<bench::Stats> train_t = bench::runRoundRobin(
         {{enter_unfused, train_step}, {enter_fused, train_step}}, reps);
-    train_unfused.ms = train_ms[0];
-    train_fused.ms = train_ms[1];
     layer.setTraining(false);
 
     // -- Serving throughput (closed loop) --
@@ -192,91 +144,66 @@ main(int argc, char **argv)
     clf.initialize(clf_init);
     clf.setTraining(false);
     const int serve_count = quick ? 16 : 64;
-    setFusionMode(FusionMode::Off);
-    const double qps_unfused = serveQps(clf, config.vocabSize, serve_count);
-    setFusionMode(FusionMode::On);
-    const double qps_fused = serveQps(clf, config.vocabSize, serve_count);
+    // A fresh server per rep, built and torn down in the untimed
+    // enter; the timed body is one burst of requests.
+    ClassifierEngine engine(clf, /*pad_id=*/3);
+    ServeOptions options;
+    options.maxBatch = 8;
+    options.maxWaitUs = 500;
+    std::unique_ptr<InferenceServer> server;
+    const auto serve_with = [&](FusionMode mode) {
+        return [&, mode] {
+            server.reset();
+            setFusionMode(mode);
+            server = std::make_unique<InferenceServer>(
+                engine, BucketSpec({32, 64, 128}), options);
+        };
+    };
+    const auto burst = [&] {
+        serveBurst(*server, config.vocabSize, serve_count);
+    };
+    const std::vector<bench::Stats> serve_t = bench::runRoundRobin(
+        {{serve_with(FusionMode::Off), burst},
+         {serve_with(FusionMode::On), burst}},
+        reps);
+    server.reset();
     clearFusionModeOverride();
 
-    // -- Report --
-    const double traffic_ratio = eval_unfused.bytes / eval_fused.bytes;
-    Table table("Fused kernels vs unfused oracle "
-                "(d_model=" + std::to_string(d_model) +
-                ", B=" + std::to_string(batch) +
-                ", n=" + std::to_string(seq) + ")");
-    table.setHeader({"Path", "Time", "Speedup", "Kernels", "Traffic"});
-    auto row = [&](const char *label, const Measurement &m,
-                   const Measurement &base) {
-        char speedup[32];
-        std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                      base.ms / m.ms);
-        table.addRow({label, formatSeconds(m.ms / 1e3), speedup,
-                      std::to_string(m.kernels),
-                      formatBytes(m.bytes)});
+    bench::Report report("bench_fusion", args);
+    report.config("d_model", static_cast<double>(d_model));
+    report.config("heads", heads);
+    report.config("d_ff", static_cast<double>(d_ff));
+    report.config("batch", static_cast<double>(batch));
+    report.config("seq", static_cast<double>(seq));
+    report.config("reps", reps);
+    report.config("serve_requests", serve_count);
+    const auto timed = [&](const std::string &phase,
+                           const std::vector<bench::Stats> &t,
+                           const Measurement &unfused,
+                           const Measurement &fused) {
+        report.millis(phase + ".unfused_ms", t[0]);
+        report.millis(phase + ".fused_ms", t[1]);
+        report.stats(phase + ".speedup", "x", bench::pairedRatio(t[0], t[1]));
+        report.value(phase + ".kernels_unfused",
+                     static_cast<double>(unfused.kernels), "count");
+        report.value(phase + ".kernels_fused",
+                     static_cast<double>(fused.kernels), "count");
     };
-    row("eval unfused", eval_unfused, eval_unfused);
-    row("eval fused", eval_fused, eval_unfused);
-    row("train unfused", train_unfused, train_unfused);
-    row("train fused", train_fused, train_unfused);
-    std::printf("%s\n", table.render().c_str());
-
-    std::printf(
-        "Fig. 12 analytical prediction (from KernelStats): kernels "
-        "%.2fx, memory traffic %.2fx (= roofline memory-bound upper "
-        "bound); measured eval speedup %.2fx.\n",
-        static_cast<double>(eval_unfused.kernels) /
-            static_cast<double>(eval_fused.kernels),
-        traffic_ratio, eval_unfused.ms / eval_fused.ms);
-    std::printf("serving: %.1f qps unfused -> %.1f qps fused (%.2fx)\n",
-                qps_unfused, qps_fused, qps_fused / qps_unfused);
-
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n  \"bench\": \"bench_fusion\",\n");
-        std::fprintf(
-            f,
-            "  \"config\": {\"d_model\": %lld, \"heads\": %d, "
-            "\"d_ff\": %lld, \"batch\": %lld, \"seq\": %lld, "
-            "\"reps\": %d, \"quick\": %s},\n",
-            static_cast<long long>(d_model), heads,
-            static_cast<long long>(d_ff), static_cast<long long>(batch),
-            static_cast<long long>(seq), reps, quick ? "true" : "false");
-        std::fprintf(
-            f,
-            "  \"eval\": {\"unfused_ms\": %.4f, \"fused_ms\": %.4f, "
-            "\"speedup\": %.3f,\n"
-            "    \"kernels_unfused\": %lld, \"kernels_fused\": %lld, "
-            "\"traffic_unfused_bytes\": %.0f, \"traffic_fused_bytes\": "
-            "%.0f,\n"
-            "    \"analytical_traffic_ratio\": %.3f, "
-            "\"analytical_kernel_ratio\": %.3f},\n",
-            eval_unfused.ms, eval_fused.ms,
-            eval_unfused.ms / eval_fused.ms,
-            static_cast<long long>(eval_unfused.kernels),
-            static_cast<long long>(eval_fused.kernels),
-            eval_unfused.bytes, eval_fused.bytes, traffic_ratio,
-            static_cast<double>(eval_unfused.kernels) /
-                static_cast<double>(eval_fused.kernels));
-        std::fprintf(
-            f,
-            "  \"train\": {\"unfused_ms\": %.4f, \"fused_ms\": %.4f, "
-            "\"speedup\": %.3f, \"kernels_unfused\": %lld, "
-            "\"kernels_fused\": %lld},\n",
-            train_unfused.ms, train_fused.ms,
-            train_unfused.ms / train_fused.ms,
-            static_cast<long long>(train_unfused.kernels),
-            static_cast<long long>(train_fused.kernels));
-        std::fprintf(
-            f,
-            "  \"serving\": {\"unfused_qps\": %.2f, \"fused_qps\": "
-            "%.2f, \"speedup\": %.3f}\n}\n",
-            qps_unfused, qps_fused, qps_fused / qps_unfused);
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    timed("eval", eval_t, eval_unfused, eval_fused);
+    // Fig. 12 analytical prediction from the same runs' KernelStats:
+    // the traffic ratio is the roofline memory-bound upper bound.
+    report.value("eval.traffic_unfused", eval_unfused.bytes, "bytes");
+    report.value("eval.traffic_fused", eval_fused.bytes, "bytes");
+    report.value("eval.analytical_kernel_ratio",
+                 static_cast<double>(eval_unfused.kernels) /
+                     static_cast<double>(eval_fused.kernels),
+                 "x");
+    report.value("eval.analytical_traffic_ratio",
+                 eval_unfused.bytes / eval_fused.bytes, "x");
+    timed("train", train_t, train_unfused, train_fused);
+    report.rate("serving.unfused_qps", "qps", serve_count, serve_t[0]);
+    report.rate("serving.fused_qps", "qps", serve_count, serve_t[1]);
+    report.stats("serving.speedup", "x",
+                 bench::pairedRatio(serve_t[0], serve_t[1]));
+    return report.emit();
 }

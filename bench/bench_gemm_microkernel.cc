@@ -11,75 +11,38 @@
  *
  * Usage: bench_gemm_microkernel [--quick] [--json <path>]
  *   --quick shrinks the mini-batch and repetitions for CI smoke runs.
- *   --json writes a machine-readable results file (see
- *   scripts/run_bench.sh, which snapshots it into results/).
+ *   --json writes the harness's JSON (scripts/run_bench.sh snapshots
+ *   it into results/).
  */
 
 #include <cstdio>
-#include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/bertprof.h"
+#include "harness.h"
 #include "ops/gemm.h"
 #include "runtime/config.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 
 using namespace bertprof;
 
 namespace {
 
-/** Best-of-reps wall time of fn() in seconds (monotonic clock). */
-Seconds
-timeBest(int reps, const std::function<void()> &fn)
-{
-    Seconds best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        Stopwatch watch;
-        fn();
-        const Seconds t = watch.elapsed();
-        if (r == 0 || t < best)
-            best = t;
-    }
-    return best;
-}
-
 struct ShapeCase {
-    std::string name;
+    std::string name; ///< metric prefix
     std::int64_t m, n, k;
     std::int64_t batch; // 1 = plain gemm, >1 = batchedGemm
     bool trans_a, trans_b;
 };
-
-struct Result {
-    ShapeCase shape;
-    double ref_gflops = 0.0;
-    double packed_gflops = 0.0;
-    double speedup = 0.0;
-    float max_abs_diff = 0.0f;
-};
-
-std::string
-transLabel(const ShapeCase &s)
-{
-    return std::string(s.trans_a ? "T" : "N") + (s.trans_b ? "T" : "N");
-}
 
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    const bench::Args args = bench::parseArgs(argc, argv);
+    const bool quick = args.quick;
 
     // BERT-Large phase-1 geometry (Table 2b): n = 128, h = 16,
     // d_head = 64, d_model = 1024, d_ff = 4096. The mini-batch is
@@ -92,29 +55,33 @@ main(int argc, char **argv)
     const std::int64_t d_model = quick ? 256 : 1024;
     const std::int64_t d_ff = 4 * d_model;
     const std::int64_t tokens = batch * seq;
-    const int reps = quick ? 1 : 3;
+    const int reps = quick ? 3 : 5;
 
     const std::vector<ShapeCase> shapes = {
         // Encoder linear projections (QKV/output): FWD x W^T, the
         // activation gradient (N,N), and the weight gradient (T,N).
-        {"linear FWD", tokens, d_model, d_model, 1, false, true},
-        {"linear BWD-act", tokens, d_model, d_model, 1, false, false},
-        {"linear BWD-wgt", d_model, d_model, tokens, 1, true, false},
+        {"linear_fwd", tokens, d_model, d_model, 1, false, true},
+        {"linear_bwd_act", tokens, d_model, d_model, 1, false, false},
+        {"linear_bwd_wgt", d_model, d_model, tokens, 1, true, false},
         // Attention score QK^T and its two backward forms, batched
         // over B*h heads.
-        {"attn score FWD", seq, seq, d_head, groups, false, true},
-        {"attn out FWD", seq, d_head, seq, groups, false, false},
-        {"attn dV", seq, d_head, seq, groups, true, false},
+        {"attn_score_fwd", seq, seq, d_head, groups, false, true},
+        {"attn_out_fwd", seq, d_head, seq, groups, false, false},
+        {"attn_dv", seq, d_head, seq, groups, true, false},
         // Feed-forward pair.
-        {"FC-1 FWD", tokens, d_ff, d_model, 1, false, true},
-        {"FC-2 FWD", tokens, d_model, d_ff, 1, false, true},
+        {"fc1_fwd", tokens, d_ff, d_model, 1, false, true},
+        {"fc2_fwd", tokens, d_model, d_ff, 1, false, true},
         // (T,T) completes the transpose coverage at the linear shape.
-        {"linear (T,T)", tokens, d_model, d_model, 1, true, true},
+        {"linear_tt", tokens, d_model, d_model, 1, true, true},
     };
 
     setNumThreads(1); // isolate the per-core hot path
+    bench::Report report("bench_gemm_microkernel", args);
+    report.config("reps", reps);
+    report.config("batch", static_cast<double>(batch));
+    report.config("seq", static_cast<double>(seq));
+    report.config("d_model", static_cast<double>(d_model));
 
-    std::vector<Result> results;
     for (const ShapeCase &s : shapes) {
         Rng rng(90210);
         const Shape a_shape =
@@ -143,97 +110,40 @@ main(int argc, char **argv)
                              static_cast<double>(s.n) *
                              static_cast<double>(s.k) *
                              static_cast<double>(s.batch);
+        const auto use = [](GemmImpl impl) {
+            return [impl] { setGemmImpl(impl); };
+        };
+        const std::vector<bench::Stats> t = bench::runRoundRobin(
+            {{use(GemmImpl::Reference), run}, {use(GemmImpl::Packed), run}},
+            reps);
 
-        Result r;
-        r.shape = s;
-
+        // The engines must agree: rounding from their different
+        // association orders only.
         setGemmImpl(GemmImpl::Reference);
-        run(); // warm-up: page in buffers
-        const Seconds t_ref = timeBest(reps, run);
-        Tensor c_ref = c.clone();
-
+        run();
+        const Tensor c_ref = c.clone();
         setGemmImpl(GemmImpl::Packed);
         run();
-        const Seconds t_packed = timeBest(reps, run);
-        r.max_abs_diff = maxAbsDiff(c, c_ref); // engines must agree
 
-        r.ref_gflops = flops / t_ref * 1e-9;
-        r.packed_gflops = flops / t_packed * 1e-9;
-        r.speedup = t_ref / t_packed;
-        results.push_back(r);
+        std::string dims = std::string(s.trans_a ? "T" : "N") +
+                           (s.trans_b ? "T" : "N") + " " +
+                           std::to_string(s.m) + "x" + std::to_string(s.n) +
+                           "x" + std::to_string(s.k);
+        if (s.batch > 1)
+            dims += " [" + std::to_string(s.batch) + "]";
+        report.config(s.name, dims);
+        report.rate(s.name + ".ref_gflops", "GFLOP/s", flops * 1e-9, t[0]);
+        report.rate(s.name + ".packed_gflops", "GFLOP/s", flops * 1e-9,
+                    t[1]);
+        report.stats(s.name + ".speedup", "x", bench::pairedRatio(t[0], t[1]));
+        report.value(s.name + ".max_abs_diff", maxAbsDiff(c, c_ref), "abs");
     }
     clearGemmImplOverride();
     setNumThreads(0);
 
-    Table table("GEMM engines, Table 2b BERT-Large shapes "
-                "(1 thread, best of " +
-                std::to_string(reps) + "; B=" + std::to_string(batch) +
-                ", n=" + std::to_string(seq) +
-                ", d_model=" + std::to_string(d_model) + ")");
-    table.setHeader({"Kernel", "tAtB", "M x N x K [b]", "ref GF/s",
-                     "packed GF/s", "speedup", "max|diff|"});
-    char buf[64];
-    for (const Result &r : results) {
-        std::vector<std::string> row;
-        row.push_back(r.shape.name);
-        row.push_back(transLabel(r.shape));
-        std::string dims = std::to_string(r.shape.m) + " x " +
-                           std::to_string(r.shape.n) + " x " +
-                           std::to_string(r.shape.k);
-        if (r.shape.batch > 1)
-            dims += " [" + std::to_string(r.shape.batch) + "]";
-        row.push_back(dims);
-        std::snprintf(buf, sizeof(buf), "%.2f", r.ref_gflops);
-        row.push_back(buf);
-        std::snprintf(buf, sizeof(buf), "%.2f", r.packed_gflops);
-        row.push_back(buf);
-        std::snprintf(buf, sizeof(buf), "%.2fx", r.speedup);
-        row.push_back(buf);
-        std::snprintf(buf, sizeof(buf), "%.2e", r.max_abs_diff);
-        row.push_back(buf);
-        table.addRow(row);
-    }
-    std::printf("%s\n", table.render().c_str());
     std::printf("Both engines run the identical deterministic row "
-                "partition; max|diff| is rounding from their different\n"
+                "partition; max_abs_diff is rounding from their different\n"
                 "association orders, not nondeterminism "
                 "(tests/test_gemm_microkernel.cc cross-checks both).\n");
-
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n  \"bench\": \"bench_gemm_microkernel\",\n");
-        std::fprintf(f, "  \"config\": {\"threads\": 1, \"reps\": %d, "
-                        "\"batch\": %lld, \"seq\": %lld, \"d_model\": %lld, "
-                        "\"quick\": %s},\n",
-                     reps, static_cast<long long>(batch),
-                     static_cast<long long>(seq),
-                     static_cast<long long>(d_model),
-                     quick ? "true" : "false");
-        std::fprintf(f, "  \"shapes\": [\n");
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const Result &r = results[i];
-            std::fprintf(
-                f,
-                "    {\"name\": \"%s\", \"trans\": \"%s\", \"m\": %lld, "
-                "\"n\": %lld, \"k\": %lld, \"batch\": %lld, "
-                "\"ref_gflops\": %.4f, \"packed_gflops\": %.4f, "
-                "\"speedup\": %.4f, \"max_abs_diff\": %.6e}%s\n",
-                r.shape.name.c_str(), transLabel(r.shape).c_str(),
-                static_cast<long long>(r.shape.m),
-                static_cast<long long>(r.shape.n),
-                static_cast<long long>(r.shape.k),
-                static_cast<long long>(r.shape.batch), r.ref_gflops,
-                r.packed_gflops, r.speedup,
-                static_cast<double>(r.max_abs_diff),
-                i + 1 < results.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    return report.emit();
 }

@@ -1,39 +1,40 @@
 /**
  * @file
  * Request-level serving bench: open-loop Poisson traffic against the
- * inference server under two policies — naive (every request padded
- * to the model maximum, batch size 1: the pad-everything baseline the
- * paper's input-size sweep argues against) and bucketed+batched
- * (sequence-length buckets from the Fig. 8 ladder plus dynamic
- * max-batch/max-wait coalescing). Reports achieved throughput and
- * p50/p99/p99.9 latency at several offered-load points, expressed as
- * multiples of the naive policy's measured capacity so the sweep is
- * machine-independent.
+ * inference server under a pair of policies, at several offered-load
+ * points expressed as multiples of a measured capacity so the sweep
+ * is machine-independent. Both policies replay the same requests and
+ * the same arrival schedule, round-robin on the bench harness; every
+ * metric is the median over reps with its quartiles. Reported per
+ * point and policy: throughput, goodput (completed before deadline
+ * / s), accepted-request latency percentiles and rejections.
  *
- * A second mode, --overload, sweeps offered load to 4x the bucketed
- * policy's measured capacity and compares the overload-resilient
- * config (admission control + deadline shedding + degradation
- * ladder) against a no-shedding baseline (unbounded queue, every
- * accepted request computed even after its deadline). Reported per
- * point: throughput, goodput (completed before deadline / s), and
- * accepted-request latency percentiles — the numbers that show
- * shedding converting dead work into on-time replies.
+ * The default pair is naive (every request padded to the model
+ * maximum, batch size 1: the pad-everything baseline the paper's
+ * input-size sweep argues against) vs bucketed+batched (sequence-
+ * length buckets from the Fig. 8 ladder plus dynamic max-batch/
+ * max-wait coalescing), at multiples of the naive capacity.
+ *
+ * --overload swaps in a no-shedding baseline (unbounded queue, every
+ * accepted request computed even after its deadline) vs the
+ * overload-resilient config (admission control + deadline shedding
+ * + degradation ladder), up to 4x the bucketed capacity — the
+ * numbers that show shedding converting dead work into on-time
+ * replies.
  *
  * Usage: bench_serving [--quick] [--overload] [--json <path>]
  *   --quick shrinks the model and request counts for CI smoke runs.
- *   --overload runs the overload-resilience sweep instead of the
- *   naive-vs-bucketed policy comparison.
- *   --json writes a machine-readable results file (see
- *   scripts/run_bench.sh, which snapshots it into results/).
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/bertprof.h"
+#include "harness.h"
 #include "serve/server.h"
 #include "serve/traffic.h"
 
@@ -47,10 +48,32 @@ struct PolicyResult {
     double p50Ms = 0.0;   ///< accepted-request percentiles
     double p99Ms = 0.0;
     double p999Ms = 0.0;
-    double meanMs = 0.0;
-    std::int64_t completed = 0;
-    std::int64_t inDeadline = 0;
-    std::int64_t rejected = 0;
+    double rejected = 0.0;
+};
+
+/** One side of a sweep. */
+struct Policy {
+    std::string name;
+    std::vector<std::int64_t> buckets; ///< bucket boundaries
+    ServeOptions options;
+};
+
+/** A pair of policies and the traffic they both replay. */
+struct Sweep {
+    std::string bench;
+    Policy base;
+    Policy test;
+    /** Service time of one batch of calBatch requests at calLen,
+     *  run through base's grid: capacity = calBatch / time. */
+    int calBatch = 1;
+    std::int64_t calLen = 0;
+    std::vector<std::int64_t> lengthMix;
+    int count = 0;
+    std::vector<double> loads; ///< multiples of the capacity
+    std::uint64_t seed = 0;    ///< request bodies, lengths, arrivals
+    /** Run to completion before each measured replay, then the
+     *  stats reset: primes caches and the per-bucket EWMAs. */
+    std::vector<InferRequest> warmup;
 };
 
 /**
@@ -61,13 +84,13 @@ struct PolicyResult {
  * the measured phase sees steady-state admission behavior.
  */
 PolicyResult
-runLoad(InferenceEngine &engine, const BucketSpec &buckets,
-        const ServeOptions &options,
+runLoad(InferenceEngine &engine, const Policy &policy,
         const std::vector<InferRequest> &requests,
         const std::vector<double> &schedule,
-        const std::vector<InferRequest> &warmup = {})
+        const std::vector<InferRequest> &warmup)
 {
-    InferenceServer server(engine, buckets, options);
+    InferenceServer server(engine, BucketSpec(policy.buckets),
+                           policy.options);
     if (!warmup.empty()) {
         std::vector<std::future<InferReply>> primers;
         primers.reserve(warmup.size());
@@ -95,238 +118,132 @@ runLoad(InferenceEngine &engine, const BucketSpec &buckets,
     const LatencySummary s = server.latencySummary();
     const ServerStats stats = server.stats();
     PolicyResult r;
-    r.completed = stats.completed;
-    r.inDeadline = stats.completedInDeadline;
-    r.rejected = stats.rejectedTotal();
     r.qps = static_cast<double>(stats.completed) / span;
     r.goodput = static_cast<double>(stats.completedInDeadline) / span;
     r.p50Ms = s.p50Seconds * 1e3;
     r.p99Ms = s.p99Seconds * 1e3;
     r.p999Ms = s.p999Seconds * 1e3;
-    r.meanMs = s.meanSeconds * 1e3;
+    r.rejected = static_cast<double>(stats.rejectedTotal());
     return r;
 }
 
-/**
- * The overload-resilience sweep: offered load at {1x, 2x, 4x} the
- * bucketed policy's measured capacity, resilient config vs a
- * no-shedding baseline, shared requests and arrival schedule.
- */
-int
-runOverloadSweep(InferenceEngine &engine, const BertConfig &config,
-                 bool quick, const std::string &json_path)
+/** `count` requests drawn from the length mix, deterministic in seed. */
+std::vector<InferRequest>
+makeRequests(const Sweep &sweep, std::int64_t vocab)
 {
-    const BucketSpec buckets = BucketSpec::defaultSpec(config.maxPositions);
-
-    // Calibrate capacity: per-request service time inside one full
-    // batch at the mix's common bucket — the best case batching can
-    // deliver, so "1x" is genuinely saturating.
-    constexpr int kCalBatch = 8;
-    const std::int64_t cal_len = quick ? 32 : 64;
-    Rng calib(11);
-    double t_batch = 0.0;
-    {
-        std::vector<PendingRequest> reqs;
-        for (int i = 0; i < kCalBatch; ++i) {
-            PendingRequest p;
-            p.request = syntheticRequest(
-                calib, static_cast<std::uint64_t>(i), cal_len,
-                config.vocabSize);
-            reqs.push_back(std::move(p));
-        }
-        Batch batch;
-        batch.bucket = buckets.bucketFor(cal_len);
-        batch.paddedLen = buckets.boundary(batch.bucket);
-        batch.requests = std::move(reqs);
-        std::vector<InferReply> replies;
-        for (int r = 0; r < 4; ++r) {
-            Stopwatch watch;
-            engine.run(batch, replies);
-            const double t = watch.elapsed();
-            if (r == 1 || (r > 1 && t < t_batch))
-                t_batch = t;
-            replies.clear();
-        }
+    Rng body(sweep.seed);
+    Rng mix(sweep.seed + 1);
+    std::vector<InferRequest> requests;
+    for (int i = 0; i < sweep.count; ++i) {
+        const std::int64_t len =
+            sweep.lengthMix[static_cast<std::size_t>(mix.uniformInt(
+                0, static_cast<std::int64_t>(sweep.lengthMix.size()) - 1))];
+        requests.push_back(syntheticRequest(
+            body, static_cast<std::uint64_t>(i), len, vocab));
     }
-    const double capacity_qps = static_cast<double>(kCalBatch) / t_batch;
-    // Deadline: three batch drains — met easily at 1x, hopeless for
-    // the tail of an unshed queue at 4x. Keeping it tight means the
-    // admission gate's completion estimate also bounds the accepted
-    // tail latency, not just the accepted count.
-    const std::int64_t deadline_us = std::max<std::int64_t>(
-        10000, static_cast<std::int64_t>(3.0 * t_batch * 1e6));
-    std::printf("bucketed capacity: %.1f qps (batch-%d service %.2f ms "
-                "at bucket %lld); request deadline %.1f ms\n\n",
-                capacity_qps, kCalBatch, t_batch * 1e3,
-                static_cast<long long>(buckets.boundary(
-                    buckets.bucketFor(cal_len))),
-                static_cast<double>(deadline_us) * 1e-3);
+    return requests;
+}
 
-    // Resilient: tight bounded queues, admission, shedding, ladder.
+/** Median service time of one full calibration batch. */
+bench::Stats
+calibrate(InferenceEngine &engine, const Sweep &sweep, std::int64_t vocab,
+          int reps)
+{
+    Rng rng(11);
+    const BucketSpec buckets(sweep.base.buckets);
+    Batch batch;
+    batch.bucket = buckets.bucketFor(sweep.calLen);
+    batch.paddedLen = buckets.boundary(batch.bucket);
+    for (int i = 0; i < sweep.calBatch; ++i) {
+        PendingRequest p;
+        p.request = syntheticRequest(rng, static_cast<std::uint64_t>(i),
+                                     sweep.calLen, vocab);
+        batch.requests.push_back(std::move(p));
+    }
+    std::vector<InferReply> replies;
+    return bench::runRoundRobin({{[&] { replies.clear(); },
+                                  [&] { engine.run(batch, replies); }}},
+                                reps)[0];
+}
+
+/** A policy that completes every request: no shedding, no
+ *  admission, an effectively unbounded queue. */
+ServeOptions
+noShedding(ServeOptions options)
+{
+    options.queueCap = 1 << 20;
+    options.degrade = false;
+    options.admission = false;
+    options.shedExpired = false;
+    return options;
+}
+
+/** Naive pad-to-max batch-1 vs bucketed+batched, at multiples of the
+ *  naive capacity. Both complete every request, so the throughput
+ *  numbers stay comparable with earlier snapshots; goodput is still
+ *  counted against the default deadline. */
+Sweep
+policySweep(const BertConfig &config, bool quick)
+{
+    Sweep sweep;
+    sweep.bench = "bench_serving";
+    ServeOptions naive;
+    naive.maxBatch = 1;
+    naive.maxWaitUs = 0;
+    sweep.base = {"naive", {config.maxPositions}, noShedding(naive)};
+    ServeOptions bucketed;
+    bucketed.maxBatch = 8;
+    bucketed.maxWaitUs = 2000;
+    sweep.test = {"bucketed",
+                  BucketSpec::defaultSpec(config.maxPositions).boundaries(),
+                  noShedding(bucketed)};
+    sweep.calBatch = 1;
+    sweep.calLen = config.maxPositions;
+    // Serving-like length mix: mostly short queries, a long tail —
+    // the regime where pad-to-max throws away the most compute.
+    sweep.lengthMix = {16, 16, 24, 24, 32, 32, 48, 48, 64, 96, 128, 128};
+    if (!quick) {
+        sweep.lengthMix.push_back(256);
+        sweep.lengthMix.push_back(384);
+    }
+    sweep.count = quick ? 12 : 48;
+    sweep.loads = quick ? std::vector<double>{2.0}
+                        : std::vector<double>{0.5, 1.5, 3.0};
+    sweep.seed = 1234;
+    return sweep;
+}
+
+/** No-shedding baseline vs the resilient config at {1x, 2x, 4x} the
+ *  bucketed capacity, with a deadline of three batch drains. */
+Sweep
+overloadSweep(const BertConfig &config, bool quick)
+{
+    Sweep sweep;
+    sweep.bench = "bench_serving_overload";
+    const std::vector<std::int64_t> buckets =
+        BucketSpec::defaultSpec(config.maxPositions).boundaries();
     ServeOptions resilient;
-    resilient.maxBatch = 8;
-    resilient.maxWaitUs = 2000;
     resilient.queueCap = 4;
-    resilient.queuePolicy = QueuePolicy::RejectNew;
-    resilient.degrade = 1;
-    resilient.admission = true;
-    resilient.shedExpired = true;
-    resilient.defaultDeadlineUs = deadline_us;
-
-    // Baseline: the pre-admission-control server — unbounded-ish
-    // queue, no shedding, every accepted request computed even after
-    // its deadline has passed.
-    ServeOptions baseline = resilient;
-    baseline.queueCap = 1 << 20;
-    baseline.degrade = 0;
-    baseline.admission = false;
-    baseline.shedExpired = false;
-
-    const std::vector<std::int64_t> length_mix = {16, 16, 24, 32, 48,
-                                                  64, 64, 96};
-    const int count = quick ? 24 : 192;
-    const std::vector<double> load_multiples = {1.0, 2.0, 4.0};
-
-    // Warm-up set: one full batch per distinct length in the mix, so
-    // every bucket the measured traffic can hit has a service-time
-    // EWMA before admission decisions start counting.
-    std::vector<InferRequest> warmup;
-    {
-        Rng warm(0xabc);
-        std::uint64_t id = 1'000'000;
-        for (const std::int64_t len : {16, 24, 32, 48, 64, 96})
-            for (int i = 0; i < 8; ++i)
-                warmup.push_back(syntheticRequest(
-                    warm, id++, len, config.vocabSize));
-    }
-
-    struct OverloadPoint {
-        double multiple = 0.0;
-        double offeredQps = 0.0;
-        PolicyResult resilient;
-        PolicyResult baseline;
-    };
-    std::vector<OverloadPoint> points;
-    for (const double multiple : load_multiples) {
-        OverloadPoint point;
-        point.multiple = multiple;
-        point.offeredQps = multiple * capacity_qps;
-
-        Rng body(4321);
-        Rng mix(8765);
-        std::vector<InferRequest> requests;
-        for (int i = 0; i < count; ++i) {
-            const std::int64_t len = length_mix[static_cast<std::size_t>(
-                mix.uniformInt(0,
-                               static_cast<std::int64_t>(
-                                   length_mix.size()) -
-                                   1))];
-            requests.push_back(
-                syntheticRequest(body, static_cast<std::uint64_t>(i), len,
-                                 config.vocabSize));
-        }
-        const std::vector<double> schedule =
-            poissonSchedule(point.offeredQps, count, 0xfeed);
-
-        point.resilient = runLoad(engine, buckets, resilient, requests,
-                                  schedule, warmup);
-        point.baseline = runLoad(engine, buckets, baseline, requests,
-                                 schedule, warmup);
-        points.push_back(point);
-    }
-
-    Table table("Serving overload: resilient (queueCap=4, admission + "
-                "shedding + ladder) vs no-shedding baseline, " +
-                std::to_string(count) + " Poisson requests per point");
-    table.setHeader({"load", "offered qps", "policy", "qps", "goodput",
-                     "p99 ms", "rejected"});
-    char buf[64];
-    for (const OverloadPoint &point : points) {
-        for (int which = 0; which < 2; ++which) {
-            const PolicyResult &r =
-                which == 0 ? point.baseline : point.resilient;
-            std::vector<std::string> row;
-            std::snprintf(buf, sizeof(buf), "%.1fx", point.multiple);
-            row.push_back(which == 0 ? buf : "");
-            std::snprintf(buf, sizeof(buf), "%.1f", point.offeredQps);
-            row.push_back(which == 0 ? buf : "");
-            row.push_back(which == 0 ? "baseline" : "resilient");
-            std::snprintf(buf, sizeof(buf), "%.1f", r.qps);
-            row.push_back(buf);
-            std::snprintf(buf, sizeof(buf), "%.1f", r.goodput);
-            row.push_back(buf);
-            std::snprintf(buf, sizeof(buf), "%.1f", r.p99Ms);
-            row.push_back(buf);
-            std::snprintf(buf, sizeof(buf), "%lld",
-                          static_cast<long long>(r.rejected));
-            row.push_back(buf);
-            table.addRow(row);
-        }
-    }
-    std::printf("%s\n", table.render().c_str());
-
-    const OverloadPoint &peak = points.back();
-    const double goodput_ratio =
-        peak.baseline.goodput > 0.0
-            ? peak.resilient.goodput / peak.baseline.goodput
-            : 0.0;
-    std::printf("4x overload: resilient goodput %.1f/s vs baseline "
-                "%.1f/s (%.2fx); accepted p99 %.1f ms vs %.1f ms\n",
-                peak.resilient.goodput, peak.baseline.goodput,
-                goodput_ratio, peak.resilient.p99Ms,
-                peak.baseline.p99Ms);
-
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n  \"bench\": \"bench_serving_overload\",\n");
-        std::fprintf(
-            f,
-            "  \"config\": {\"layers\": %d, \"d_model\": %lld, "
-            "\"max_positions\": %lld, \"count\": %d, "
-            "\"capacity_qps\": %.2f, \"deadline_ms\": %.3f, "
-            "\"queue_cap\": 4, \"quick\": %s},\n",
-            config.numLayers, static_cast<long long>(config.dModel),
-            static_cast<long long>(config.maxPositions), count,
-            capacity_qps, static_cast<double>(deadline_us) * 1e-3,
-            quick ? "true" : "false");
-        std::fprintf(f, "  \"load_points\": [\n");
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const OverloadPoint &p = points[i];
-            auto emit = [&](const char *name, const PolicyResult &r,
-                            const char *tail) {
-                std::fprintf(
-                    f,
-                    "     \"%s\": {\"qps\": %.2f, \"goodput\": %.2f, "
-                    "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-                    "\"p999_ms\": %.3f, \"completed\": %lld, "
-                    "\"in_deadline\": %lld, \"rejected\": %lld}%s\n",
-                    name, r.qps, r.goodput, r.p50Ms, r.p99Ms, r.p999Ms,
-                    static_cast<long long>(r.completed),
-                    static_cast<long long>(r.inDeadline),
-                    static_cast<long long>(r.rejected), tail);
-            };
-            std::fprintf(
-                f,
-                "    {\"load_multiple\": %.2f, \"offered_qps\": %.2f,\n",
-                p.multiple, p.offeredQps);
-            emit("baseline", p.baseline, ",");
-            emit("resilient", p.resilient, ",");
-            std::fprintf(
-                f, "     \"goodput_ratio\": %.3f}%s\n",
-                p.baseline.goodput > 0.0
-                    ? p.resilient.goodput / p.baseline.goodput
-                    : 0.0,
-                i + 1 < points.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    sweep.base = {"baseline", buckets, noShedding(resilient)};
+    sweep.test = {"resilient", buckets, resilient};
+    // One full batch at the mix's common bucket — the best case
+    // batching can deliver, so "1x" is genuinely saturating.
+    sweep.calBatch = 8;
+    sweep.calLen = quick ? 32 : 64;
+    sweep.lengthMix = {16, 16, 24, 32, 48, 64, 64, 96};
+    sweep.count = quick ? 24 : 192;
+    sweep.loads = {1.0, 2.0, 4.0};
+    sweep.seed = 4321;
+    // One full batch per distinct length in the mix, so every bucket
+    // the measured traffic can hit has a service-time EWMA before
+    // admission decisions start counting.
+    Rng warm(0xabc);
+    std::uint64_t id = 1'000'000;
+    for (const std::int64_t len : {16, 24, 32, 48, 64, 96})
+        for (int i = 0; i < 8; ++i)
+            sweep.warmup.push_back(
+                syntheticRequest(warm, id++, len, config.vocabSize));
+    return sweep;
 }
 
 } // namespace
@@ -334,17 +251,9 @@ runOverloadSweep(InferenceEngine &engine, const BertConfig &config,
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    bool overload = false;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strcmp(argv[i], "--overload") == 0)
-            overload = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
+    const bench::Args args = bench::parseArgs(argc, argv, {"--overload"});
+    const bool quick = args.quick;
+    const int reps = quick ? 1 : 3;
 
     // A serving-sized encoder: big enough that padding waste shows,
     // small enough that the sweep finishes on one CPU.
@@ -368,183 +277,89 @@ main(int argc, char **argv)
     model.setTraining(false);
     ClassifierEngine engine(model, /*pad_id=*/3);
 
-    if (overload)
-        return runOverloadSweep(engine, config, quick, json_path);
-
-    // Serving-like length mix: mostly short queries, a long tail —
-    // the regime where pad-to-max throws away the most compute.
-    std::vector<std::int64_t> length_mix = {16, 16, 24, 24,  32,  32,
-                                            48, 48, 64, 96, 128, 128};
-    if (!quick) {
-        length_mix.push_back(256);
-        length_mix.push_back(384);
+    Sweep sweep = args.has("--overload") ? overloadSweep(config, quick)
+                                         : policySweep(config, quick);
+    const bench::Stats service =
+        calibrate(engine, sweep, config.vocabSize, quick ? 3 : 5);
+    const double capacity_qps = sweep.calBatch / service.median;
+    if (args.has("--overload")) {
+        // Deadline: three batch drains — met easily at 1x, hopeless
+        // for the tail of an unshed queue at 4x. Keeping it tight
+        // means the admission gate's completion estimate also bounds
+        // the accepted tail latency, not just the accepted count.
+        const std::int64_t deadline_us = std::max<std::int64_t>(
+            10000, static_cast<std::int64_t>(3.0 * service.median * 1e6));
+        sweep.base.options.defaultDeadlineUs = deadline_us;
+        sweep.test.options.defaultDeadlineUs = deadline_us;
     }
-    const int count = quick ? 12 : 48;
-    const std::vector<double> load_multiples =
-        quick ? std::vector<double>{2.0}
-              : std::vector<double>{0.5, 1.5, 3.0};
 
-    // Calibrate the naive policy's capacity: one request padded to
-    // the model maximum, batch 1 — its service time bounds what
-    // pad-to-max serving can ever deliver.
-    Rng calib(7);
-    double t_naive = 0.0;
-    {
-        InferRequest probe = syntheticRequest(calib, 0, config.maxPositions,
-                                              config.vocabSize);
-        // Warm-up, then best-of-3.
-        for (int r = 0; r < 4; ++r) {
-            Stopwatch watch;
-            (void)model.forwardLogitsEval(probe.tokenIds,
-                                          probe.segmentIds, 1,
-                                          config.maxPositions, {});
-            const double t = watch.elapsed();
-            if (r == 1 || (r > 1 && t < t_naive))
-                t_naive = t;
+    bench::Report report(sweep.bench, args);
+    report.config("layers", config.numLayers);
+    report.config("d_model", static_cast<double>(config.dModel));
+    report.config("max_positions", static_cast<double>(config.maxPositions));
+    report.config("count", sweep.count);
+    report.config("reps", reps);
+    for (const Policy *p : {&sweep.base, &sweep.test}) {
+        const ServeOptions &o = p->options;
+        report.config(p->name,
+                      std::to_string(p->buckets.size()) +
+                          " buckets, maxBatch " + std::to_string(o.maxBatch) +
+                          ", maxWait " + std::to_string(o.maxWaitUs) +
+                          " us, queueCap " + std::to_string(o.queueCap) +
+                          (o.shedExpired ? ", admission+shedding+ladder"
+                                         : ", no shedding"));
+    }
+    report.config("deadline_ms", sweep.test.options.defaultDeadlineUs * 1e-3);
+    report.rate("capacity_qps", "qps", sweep.calBatch, service);
+
+    const std::vector<InferRequest> requests =
+        makeRequests(sweep, config.vocabSize);
+    for (const double load : sweep.loads) {
+        const std::vector<double> schedule = poissonSchedule(
+            load * capacity_qps, sweep.count, sweep.seed + 2);
+        std::vector<PolicyResult> runs[2];
+        const auto replay = [&](int side) {
+            return [&, side] {
+                const Policy &p = side == 0 ? sweep.base : sweep.test;
+                runs[side].push_back(
+                    runLoad(engine, p, requests, schedule, sweep.warmup));
+            };
+        };
+        bench::runRoundRobin({{nullptr, replay(0)}, {nullptr, replay(1)}},
+                             reps);
+
+        char label[32];
+        std::snprintf(label, sizeof(label), "load%gx.", load);
+        report.value(label + std::string("offered_qps"),
+                     load * capacity_qps, "qps");
+        bench::Stats qps[2], goodput[2];
+        for (int side = 0; side < 2; ++side) {
+            // runs[side][0] is the harness's warm-up rep.
+            const std::vector<PolicyResult> kept(runs[side].begin() + 1,
+                                                 runs[side].end());
+            const auto field = [&](double PolicyResult::*f) {
+                std::vector<double> v;
+                for (const PolicyResult &r : kept)
+                    v.push_back(r.*f);
+                return bench::summarize(v);
+            };
+            qps[side] = field(&PolicyResult::qps);
+            goodput[side] = field(&PolicyResult::goodput);
+            const std::string prefix =
+                label + (side == 0 ? sweep.base.name : sweep.test.name) + ".";
+            report.stats(prefix + "qps", "qps", qps[side]);
+            report.stats(prefix + "goodput", "qps", goodput[side]);
+            report.stats(prefix + "p50_ms", "ms", field(&PolicyResult::p50Ms));
+            report.stats(prefix + "p99_ms", "ms", field(&PolicyResult::p99Ms));
+            report.stats(prefix + "p999_ms", "ms",
+                         field(&PolicyResult::p999Ms));
+            report.stats(prefix + "rejected", "count",
+                         field(&PolicyResult::rejected));
         }
+        report.stats(label + std::string("qps_ratio"), "x",
+                     bench::pairedRatio(qps[1], qps[0]));
+        report.stats(label + std::string("goodput_ratio"), "x",
+                     bench::pairedRatio(goodput[1], goodput[0]));
     }
-    const double naive_capacity_qps = 1.0 / t_naive;
-    std::printf("naive service time (pad to %lld, batch 1): %.1f ms "
-                "=> capacity %.1f qps\n\n",
-                static_cast<long long>(config.maxPositions),
-                t_naive * 1e3, naive_capacity_qps);
-
-    const BucketSpec naive_buckets({config.maxPositions});
-    ServeOptions naive_options;
-    naive_options.maxBatch = 1;
-    naive_options.maxWaitUs = 0;
-
-    const BucketSpec bucketed_buckets =
-        BucketSpec::defaultSpec(config.maxPositions);
-    ServeOptions bucketed_options;
-    bucketed_options.maxBatch = 8;
-    bucketed_options.maxWaitUs = 2000;
-
-    // The legacy comparison completes every request (no shedding, no
-    // admission, effectively unbounded queues) so its throughput
-    // numbers stay comparable with earlier snapshots; goodput is
-    // still reported against the default deadline. The --overload
-    // sweep is where the resilience machinery is the subject.
-    for (ServeOptions *opts : {&naive_options, &bucketed_options}) {
-        opts->queueCap = 1 << 20;
-        opts->degrade = 0;
-        opts->admission = false;
-        opts->shedExpired = false;
-    }
-
-    struct LoadPoint {
-        double multiple = 0.0;
-        double offeredQps = 0.0;
-        PolicyResult naive;
-        PolicyResult bucketed;
-    };
-    std::vector<LoadPoint> points;
-    for (const double multiple : load_multiples) {
-        LoadPoint point;
-        point.multiple = multiple;
-        point.offeredQps = multiple * naive_capacity_qps;
-
-        // Same requests and same arrival schedule for both policies.
-        Rng body(1234);
-        Rng mix(5678);
-        std::vector<InferRequest> requests;
-        for (int i = 0; i < count; ++i) {
-            const std::int64_t len = length_mix[static_cast<std::size_t>(
-                mix.uniformInt(0,
-                               static_cast<std::int64_t>(
-                                   length_mix.size()) -
-                                   1))];
-            requests.push_back(
-                syntheticRequest(body, static_cast<std::uint64_t>(i), len,
-                                 config.vocabSize));
-        }
-        const std::vector<double> schedule =
-            poissonSchedule(point.offeredQps, count, 0x5eed);
-
-        point.naive = runLoad(engine, naive_buckets, naive_options,
-                              requests, schedule);
-        point.bucketed = runLoad(engine, bucketed_buckets,
-                                 bucketed_options, requests, schedule);
-        points.push_back(point);
-    }
-
-    Table table("Serving: naive pad-to-" +
-                std::to_string(config.maxPositions) +
-                " batch-1 vs bucketed+batched (maxBatch=8, "
-                "maxWait=2ms), " +
-                std::to_string(count) + " Poisson requests per point");
-    table.setHeader({"load", "offered qps", "policy", "qps", "p50 ms",
-                     "p99 ms", "p99.9 ms"});
-    char buf[64];
-    for (const LoadPoint &point : points) {
-        for (int which = 0; which < 2; ++which) {
-            const PolicyResult &r =
-                which == 0 ? point.naive : point.bucketed;
-            std::vector<std::string> row;
-            std::snprintf(buf, sizeof(buf), "%.1fx", point.multiple);
-            row.push_back(which == 0 ? buf : "");
-            std::snprintf(buf, sizeof(buf), "%.1f", point.offeredQps);
-            row.push_back(which == 0 ? buf : "");
-            row.push_back(which == 0 ? "naive" : "bucketed");
-            std::snprintf(buf, sizeof(buf), "%.1f", r.qps);
-            row.push_back(buf);
-            std::snprintf(buf, sizeof(buf), "%.1f", r.p50Ms);
-            row.push_back(buf);
-            std::snprintf(buf, sizeof(buf), "%.1f", r.p99Ms);
-            row.push_back(buf);
-            std::snprintf(buf, sizeof(buf), "%.1f", r.p999Ms);
-            row.push_back(buf);
-            table.addRow(row);
-        }
-    }
-    std::printf("%s\n", table.render().c_str());
-
-    const LoadPoint &peak = points.back();
-    const double ratio = peak.bucketed.qps / peak.naive.qps;
-    std::printf("peak-load throughput: bucketed %.1f qps vs naive %.1f "
-                "qps (%.2fx) at p99 %.1f ms vs %.1f ms\n",
-                peak.bucketed.qps, peak.naive.qps, ratio,
-                peak.bucketed.p99Ms, peak.naive.p99Ms);
-
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f, "{\n  \"bench\": \"bench_serving\",\n");
-        std::fprintf(
-            f,
-            "  \"config\": {\"layers\": %d, \"d_model\": %lld, "
-            "\"max_positions\": %lld, \"count\": %d, "
-            "\"naive_capacity_qps\": %.2f, \"max_batch\": 8, "
-            "\"max_wait_us\": 2000, \"quick\": %s},\n",
-            config.numLayers, static_cast<long long>(config.dModel),
-            static_cast<long long>(config.maxPositions), count,
-            naive_capacity_qps, quick ? "true" : "false");
-        std::fprintf(f, "  \"load_points\": [\n");
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const LoadPoint &p = points[i];
-            std::fprintf(
-                f,
-                "    {\"load_multiple\": %.2f, \"offered_qps\": %.2f,\n"
-                "     \"naive\": {\"qps\": %.2f, \"goodput\": %.2f, "
-                "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-                "\"p999_ms\": %.3f},\n"
-                "     \"bucketed\": {\"qps\": %.2f, \"goodput\": %.2f, "
-                "\"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-                "\"p999_ms\": %.3f},\n"
-                "     \"throughput_ratio\": %.3f}%s\n",
-                p.multiple, p.offeredQps, p.naive.qps, p.naive.goodput,
-                p.naive.p50Ms, p.naive.p99Ms, p.naive.p999Ms,
-                p.bucketed.qps, p.bucketed.goodput, p.bucketed.p50Ms,
-                p.bucketed.p99Ms, p.bucketed.p999Ms,
-                p.bucketed.qps / p.naive.qps,
-                i + 1 < points.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    return report.emit();
 }

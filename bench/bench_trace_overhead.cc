@@ -1,32 +1,34 @@
 /**
  * @file
- * Recording-overhead bench for the telemetry subsystem: run the same
+ * Recording-overhead bench for the telemetry subsystem: the same
  * training-step and forward-only eval loops with trace recording off
- * and on, and report the throughput delta — the "always-on profiling
- * must be cheap" claim, quantified. Also reports what the recording
- * produced (events, chunks, on-disk bytes, compression ratio) by
- * re-opening the container it just wrote, so this binary doubles as
- * the record -> replay smoke for scripts/run_all.sh.
+ * and on, interleaved rep by rep on the bench harness. The recorder
+ * starts and stops in the untimed `enter`, so a rep times the loop
+ * only. The overhead is the per-rep on/off time ratio; it is reported
+ * only when its whole interquartile range lies above zero, and as
+ * unresolved otherwise (never as a negative percentage). Also
+ * reports what the last recorded rep produced (events, chunks,
+ * on-disk bytes, compression ratio) by re-opening the container it
+ * wrote, so this binary doubles as the record -> replay smoke for
+ * scripts/run_all.sh.
  *
  * Usage: bench_trace_overhead [--quick] [--json <path>]
  *                             [--record <path>]
- *   --quick shrinks step counts for CI smoke runs.
- *   --json writes a machine-readable results file.
+ *   --quick shrinks step counts and reps for CI smoke runs.
  *   --record sets the container path (default
  *     bench_trace_overhead.bptr in the working directory; the file is
  *     left on disk for bptrace).
  */
 
-#include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/bertprof.h"
+#include "harness.h"
 #include "serve/traffic.h"
 #include "telemetry/trace_reader.h"
-#include "util/stopwatch.h"
 
 using namespace bertprof;
 
@@ -59,68 +61,23 @@ benchConfig(bool quick)
     return config;
 }
 
-/** Best-of-N wrapper: rerun a loop and keep the fastest rate, so a
- * noisy-neighbor stall in either mode doesn't masquerade as
- * (negative) recording overhead. */
-template <typename F>
-double
-bestOf(int rounds, F &&loop)
+/**
+ * Per-rep recording overhead in percent, from the paired on/off
+ * times of each round. The median counts as resolved only when the
+ * whole interquartile range lies above zero; otherwise the value is
+ * NaN (written null, printed "unresolved") and the quartiles show
+ * the spread that swamped it.
+ */
+bench::Metric
+overheadMetric(const std::string &name, const bench::Stats &off,
+               const bench::Stats &on)
 {
-    double best = 0.0;
-    for (int r = 0; r < rounds; ++r)
-        best = std::max(best, loop());
-    return best;
-}
-
-/** One self-contained training run; returns steps/s. */
-double
-runTrainLoop(const BertConfig &config, int steps)
-{
-    NnRuntime rt;
-    BertPretrainer model(config, &rt);
-    Rng init(20260808);
-    model.initialize(init);
-    SyntheticDataset dataset(config, 77);
-    Lamb optimizer{OptimizerConfig{}};
-    GradScaler scaler(1024.0f);
-    LrSchedule schedule(1e-3f, 4, 400, DecayKind::Polynomial, 1.0);
-    Trainer trainer(model, optimizer, scaler, schedule, dataset, rt);
-    // Warm-up outside the timed region.
-    (void)trainer.trainStep();
-    Stopwatch watch;
-    for (int i = 0; i < steps; ++i)
-        (void)trainer.trainStep();
-    return steps / watch.elapsed();
-}
-
-/** One self-contained forward-only eval run; returns batches/s. */
-double
-runEvalLoop(const BertConfig &config, int batches)
-{
-    NnRuntime rt;
-    BertClassifier model(config, &rt);
-    Rng init(20260808);
-    model.initialize(init);
-    model.setTraining(false);
-    Rng body(42);
-    InferRequest probe =
-        syntheticRequest(body, 0, config.seqLen, config.vocabSize);
-    (void)model.forwardLogitsEval(probe.tokenIds, probe.segmentIds, 1,
-                                  config.seqLen, {});
-    Stopwatch watch;
-    for (int i = 0; i < batches; ++i) {
-        (void)model.forwardLogitsEval(probe.tokenIds, probe.segmentIds,
-                                      1, config.seqLen, {});
-    }
-    return batches / watch.elapsed();
-}
-
-double
-overheadPct(double base, double recorded)
-{
-    if (base <= 0.0 || recorded <= 0.0)
-        return 0.0;
-    return (base / recorded - 1.0) * 100.0;
+    const bench::Stats ratio = bench::pairedRatio(on, off);
+    bench::Metric m{name, (ratio.median - 1.0) * 100.0, "%", ratio.n,
+                    (ratio.q1 - 1.0) * 100.0, (ratio.q3 - 1.0) * 100.0};
+    if (!(m.q1 > 0.0))
+        m.value = NAN;
+    return m;
 }
 
 } // namespace
@@ -128,129 +85,118 @@ overheadPct(double base, double recorded)
 int
 main(int argc, char **argv)
 {
-    bool quick = false;
-    std::string json_path;
-    std::string trace_path = "bench_trace_overhead.bptr";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--record") == 0 && i + 1 < argc)
-            trace_path = argv[++i];
-        else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--json <path>] "
-                         "[--record <path>]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    const bench::Args args = bench::parseArgs(argc, argv, {}, {"--record"});
+    const bool quick = args.quick;
+    const std::string trace_path =
+        args.has("--record") ? args.extra.at("--record")
+                             : "bench_trace_overhead.bptr";
 
     const BertConfig config = benchConfig(quick);
     const int train_steps = quick ? 3 : 10;
     const int eval_batches = quick ? 10 : 60;
-    const int rounds = quick ? 1 : 5;
+    const int reps = quick ? 3 : 15;
 
-    // Baseline: recording off, no profiler — ScopedKernel is a no-op.
-    const double train_base = bestOf(
-        rounds, [&] { return runTrainLoop(config, train_steps); });
-    const double eval_base = bestOf(
-        rounds, [&] { return runEvalLoop(config, eval_batches); });
+    // Training loop state, built once; every rep runs more steps.
+    NnRuntime train_rt;
+    BertPretrainer pretrainer(config, &train_rt);
+    Rng init(20260808);
+    pretrainer.initialize(init);
+    SyntheticDataset dataset(config, 77);
+    Lamb optimizer{OptimizerConfig{}};
+    GradScaler scaler(1024.0f);
+    LrSchedule schedule(1e-3f, 4, 400, DecayKind::Polynomial, 1.0);
+    Trainer trainer(pretrainer, optimizer, scaler, schedule, dataset,
+                    train_rt);
+    const auto train_loop = [&] {
+        for (int i = 0; i < train_steps; ++i)
+            (void)trainer.trainStep();
+    };
 
-    // Recorded: same loops with the trace recorder armed.
+    // Forward-only eval on one fixed request.
+    NnRuntime eval_rt;
+    BertClassifier classifier(config, &eval_rt);
+    Rng eval_init(20260808);
+    classifier.initialize(eval_init);
+    classifier.setTraining(false);
+    Rng body(42);
+    const InferRequest probe =
+        syntheticRequest(body, 0, config.seqLen, config.vocabSize);
+    const auto eval_loop = [&] {
+        for (int i = 0; i < eval_batches; ++i)
+            (void)classifier.forwardLogitsEval(
+                probe.tokenIds, probe.segmentIds, 1, config.seqLen, {});
+    };
+
+    // Recorder off: no sink, no profiler — ScopedKernel is a no-op.
+    // Recorder on: a fresh container session per rep. A start or
+    // stop failure is latched and fails the run after the sweep.
     TraceRecorder &recorder = TraceRecorder::instance();
     RecorderOptions options;
     options.path = trace_path;
-    IoStatus status = recorder.start(options);
-    if (!status.ok()) {
-        std::fprintf(stderr, "cannot start recording: %s\n",
-                     status.toString().c_str());
-        return 1;
-    }
-    const double train_rec = bestOf(
-        rounds, [&] { return runTrainLoop(config, train_steps); });
-    const double eval_rec = bestOf(
-        rounds, [&] { return runEvalLoop(config, eval_batches); });
+    IoStatus failure = IoStatus::success();
+    const auto latch = [&](IoStatus status) {
+        if (!status.ok() && failure.ok())
+            failure = status;
+    };
+    const auto off = [&] { latch(recorder.stop()); };
+    const auto on = [&] { latch(recorder.start(options)); };
+    // One sweep per loop, so each rep runs right after a rep of the
+    // same loop and neither side inherits the other loop's caches.
+    // Train last, so the container left on disk holds training steps
+    // as well as kernels.
+    const std::vector<bench::Stats> eval_t =
+        bench::runRoundRobin({{off, eval_loop}, {on, eval_loop}}, reps);
+    const std::vector<bench::Stats> train_t =
+        bench::runRoundRobin({{off, train_loop}, {on, train_loop}}, reps);
     const std::int64_t events = recorder.eventsRecorded();
     const std::int64_t dropped = recorder.eventsDropped();
-    status = recorder.stop();
-    if (!status.ok()) {
+    latch(recorder.stop());
+    if (!failure.ok()) {
         std::fprintf(stderr, "recording failed: %s\n",
-                     status.toString().c_str());
+                     failure.toString().c_str());
         return 1;
     }
 
-    // Re-open what we just wrote: the record -> replay smoke.
+    // Re-open what the last rep wrote: the record -> replay smoke.
     TraceReader reader;
-    status = reader.open(trace_path);
-    if (!status.ok()) {
+    const IoStatus opened = reader.open(trace_path);
+    if (!opened.ok()) {
         std::fprintf(stderr, "recorded container unreadable: %s\n",
-                     status.toString().c_str());
+                     opened.toString().c_str());
         return 1;
     }
     std::int64_t raw_bytes = 0;
     for (std::size_t c = 0; c < reader.chunkCount(); ++c)
         raw_bytes += static_cast<std::int64_t>(reader.chunk(c).rawSize);
-    const double ratio =
-        reader.fileSize() > 0
-            ? static_cast<double>(raw_bytes) /
-                  static_cast<double>(reader.fileSize())
-            : 0.0;
 
-    const double train_pct = overheadPct(train_base, train_rec);
-    const double eval_pct = overheadPct(eval_base, eval_rec);
-
-    Table table("Trace recording overhead (" +
-                std::to_string(train_steps) + " train steps, " +
-                std::to_string(eval_batches) + " eval batches)");
-    table.setHeader({"loop", "off", "on", "overhead"});
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.2f%%", train_pct);
-    table.addRow({"train steps/s",
-                  std::to_string(train_base),
-                  std::to_string(train_rec), buf});
-    std::snprintf(buf, sizeof buf, "%.2f%%", eval_pct);
-    table.addRow({"eval batches/s",
-                  std::to_string(eval_base),
-                  std::to_string(eval_rec), buf});
-    std::printf("%s\n", table.render().c_str());
-
-    std::printf("recorded %lld events (%lld dropped) into %zu chunks, "
-                "%zu bytes on disk, %.2fx compression, tail %s\n",
-                static_cast<long long>(events),
-                static_cast<long long>(dropped), reader.chunkCount(),
-                reader.fileSize(), ratio,
-                reader.truncatedTail() ? "TORN" : "clean");
-
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-            return 1;
-        }
-        std::fprintf(f,
-                     "{\n"
-                     "  \"quick\": %s,\n"
-                     "  \"train_steps_per_s_off\": %.6g,\n"
-                     "  \"train_steps_per_s_on\": %.6g,\n"
-                     "  \"train_overhead_pct\": %.4g,\n"
-                     "  \"eval_batches_per_s_off\": %.6g,\n"
-                     "  \"eval_batches_per_s_on\": %.6g,\n"
-                     "  \"eval_overhead_pct\": %.4g,\n"
-                     "  \"events\": %lld,\n"
-                     "  \"events_dropped\": %lld,\n"
-                     "  \"chunks\": %zu,\n"
-                     "  \"file_bytes\": %zu,\n"
-                     "  \"compression_ratio\": %.4g\n"
-                     "}\n",
-                     quick ? "true" : "false", train_base, train_rec,
-                     train_pct, eval_base, eval_rec, eval_pct,
-                     static_cast<long long>(events),
-                     static_cast<long long>(dropped),
-                     reader.chunkCount(), reader.fileSize(), ratio);
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-    return 0;
+    bench::Report report("bench_trace_overhead", args);
+    report.config("train_steps", train_steps);
+    report.config("eval_batches", eval_batches);
+    report.config("reps", reps);
+    report.config("d_model", static_cast<double>(config.dModel));
+    report.config("seq", static_cast<double>(config.seqLen));
+    report.rate("eval.off_batches_per_s", "1/s", eval_batches, eval_t[0]);
+    report.rate("eval.on_batches_per_s", "1/s", eval_batches, eval_t[1]);
+    report.add(overheadMetric("eval.overhead_pct", eval_t[0], eval_t[1]));
+    report.rate("train.off_steps_per_s", "1/s", train_steps, train_t[0]);
+    report.rate("train.on_steps_per_s", "1/s", train_steps, train_t[1]);
+    report.add(
+        overheadMetric("train.overhead_pct", train_t[0], train_t[1]));
+    // What the last recorder-on rep (train_steps steps) wrote.
+    report.value("trace.events", static_cast<double>(events), "count");
+    report.value("trace.events_dropped", static_cast<double>(dropped),
+                 "count");
+    report.value("trace.chunks", static_cast<double>(reader.chunkCount()),
+                 "count");
+    report.value("trace.file_bytes", static_cast<double>(reader.fileSize()),
+                 "bytes");
+    report.value("trace.compression_ratio",
+                 reader.fileSize() > 0
+                     ? static_cast<double>(raw_bytes) /
+                           static_cast<double>(reader.fileSize())
+                     : 0.0,
+                 "x");
+    const int status = report.emit();
+    std::printf("trace tail %s\n", reader.truncatedTail() ? "TORN" : "clean");
+    return status;
 }

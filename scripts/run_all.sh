@@ -30,7 +30,7 @@ scripts/check_chaos.sh build
 # fused-vs-unfused quick bench (BERTPROF_FUSION defaults off, so
 # everything above ran the unfused oracle path).
 ctest --test-dir build -L fusion --output-on-failure
-build/bench/bench_fusion --quick | tail -2
+build/bench/bench_fusion --quick | grep speedup
 
 # Telemetry smoke: record a real (quick) train+eval run into a trace
 # container, then replay it with bptrace — the breakdown aggregates

@@ -37,7 +37,6 @@ DynamicBatcher::DynamicBatcher(const BucketSpec &spec,
     BP_REQUIRE(policy_.maxBatch >= 1);
     BP_REQUIRE(policy_.maxWaitUs >= 0);
     BP_REQUIRE(policy_.queueCap >= 1);
-    BP_REQUIRE(policy_.queuePolicy != QueuePolicy::Default);
     for (int b = 0; b < spec_.numBuckets(); ++b)
         ewmaNanos_[static_cast<std::size_t>(b)].store(
             0, std::memory_order_relaxed);

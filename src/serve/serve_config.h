@@ -1,27 +1,8 @@
 /**
  * @file
- * Serving-runtime knobs, resolved the same way as the substrate's
- * thread/GEMM knobs (runtime/config.h): an explicit field in
- * ServeOptions wins, otherwise the BERTPROF_SERVE_* environment
- * variable, otherwise the baked-in default.
- *
- *   BERTPROF_SERVE_MAX_BATCH    max requests coalesced per forward
- *                               (default 8, range [1, 1024])
- *   BERTPROF_SERVE_MAX_WAIT_US  max microseconds the batcher holds
- *                               the most urgent pending request open
- *                               for company (default 2000,
- *                               range [0, 10^9])
- *   BERTPROF_SERVE_QUEUE_CAP    admission control: max pending
- *                               requests per bucket (default 64,
- *                               range [1, 2^20])
- *   BERTPROF_SERVE_QUEUE_POLICY what happens when a bucket is at cap:
- *                               `reject-new` (default) refuses the
- *                               arriving request, `drop-oldest`
- *                               evicts the bucket's oldest pending
- *                               request to admit the new one
- *   BERTPROF_SERVE_DEGRADE      graceful-degradation ladder under
- *                               sustained queue pressure: `on`
- *                               (default) or `off`
+ * Serving-runtime policy: batching, admission control and overload
+ * behavior for one server instance. Every field carries its default
+ * directly; callers that want another policy set the field.
  */
 
 #ifndef BERTPROF_SERVE_SERVE_CONFIG_H
@@ -33,35 +14,21 @@ namespace bertprof {
 
 /** Behavior of a full per-bucket queue at submit. */
 enum class QueuePolicy {
-    Default,    ///< resolve via BERTPROF_SERVE_QUEUE_POLICY
     RejectNew,  ///< refuse the arriving request (QueueFull)
     DropOldest, ///< evict the bucket's oldest request, admit the new
 };
 
-/** BERTPROF_SERVE_MAX_BATCH or the default (8). */
-int configuredServeMaxBatch();
-
-/** BERTPROF_SERVE_MAX_WAIT_US or the default (2000). */
-std::int64_t configuredServeMaxWaitUs();
-
-/** BERTPROF_SERVE_QUEUE_CAP or the default (64). */
-int configuredServeQueueCap();
-
-/** BERTPROF_SERVE_QUEUE_POLICY or the default (RejectNew). */
-QueuePolicy configuredServeQueuePolicy();
-
-/** BERTPROF_SERVE_DEGRADE or the default (true). */
-bool configuredServeDegrade();
-
 /**
- * The batcher's fully-resolved overload policy: every env/default
- * fallback applied, plus the shedding switches the overload bench
- * flips to reproduce the pre-admission-control behavior as its
- * baseline.
+ * The batcher's overload policy, plus the shedding switches the
+ * overload bench flips to reproduce the pre-admission-control
+ * behavior as its baseline.
  */
 struct ResolvedServePolicy {
+    /** Max requests per coalesced batch, in [1, 1024]. */
     int maxBatch = 8;
+    /** Max microseconds a lone request is held open for company. */
     std::int64_t maxWaitUs = 2000;
+    /** Admission control: max pending requests per bucket. */
     int queueCap = 64;
     QueuePolicy queuePolicy = QueuePolicy::RejectNew;
     /** Arm the hysteretic degradation ladder. */
@@ -70,28 +37,13 @@ struct ResolvedServePolicy {
      *  (needs a per-bucket service-time EWMA measurement first). */
     bool admission = true;
     /** Drop expired requests at every stage instead of computing
-     *  them (submit, dequeue, batch-forming, pre-compute). */
+     *  them (submit, dequeue, batch-forming, pre-compute). The
+     *  overload bench's no-shedding baseline sets this false. */
     bool shedExpired = true;
 };
 
 /** Batching policy for one server instance. */
-struct ServeOptions {
-    /** Max requests per coalesced batch; <= 0 = use the env knob. */
-    int maxBatch = 0;
-    /** Max hold time before a lone request ships; < 0 = env knob. */
-    std::int64_t maxWaitUs = -1;
-    /** Per-bucket pending cap; <= 0 = env knob. */
-    int queueCap = 0;
-    /** Full-queue behavior; Default = env knob. */
-    QueuePolicy queuePolicy = QueuePolicy::Default;
-    /** Degradation ladder: <0 = env knob, 0 = off, >0 = on. */
-    int degrade = -1;
-    /** EWMA-based unmeetable-deadline rejection at submit. */
-    bool admission = true;
-    /** Shed expired requests instead of computing them. The overload
-     *  bench's no-shedding baseline sets this false, restoring the
-     *  old burn-compute-on-dead-work behavior. */
-    bool shedExpired = true;
+struct ServeOptions : ResolvedServePolicy {
     /**
      * Deadline assigned on submit when a request carries none, in
      * microseconds after arrival. Deadlines accelerate flushes (a
@@ -101,15 +53,8 @@ struct ServeOptions {
      */
     std::int64_t defaultDeadlineUs = 100000;
 
-    /** The policy with env/default fallbacks applied. */
-    int resolvedMaxBatch() const;
-    std::int64_t resolvedMaxWaitUs() const;
-    int resolvedQueueCap() const;
-    QueuePolicy resolvedQueuePolicy() const;
-    bool resolvedDegrade() const;
-
-    /** Everything resolved at once (what the batcher runs on). */
-    ResolvedServePolicy resolve() const;
+    /** The batcher's part of the options (what it runs on). */
+    ResolvedServePolicy resolve() const { return *this; }
 };
 
 } // namespace bertprof

@@ -240,18 +240,26 @@ TEST(TrafficTest, PoissonScheduleIsDeterministicAndCalibrated)
     EXPECT_LT(a.back(), 4.0);
 }
 
-TEST(ServeConfigTest, EnvKnobsResolve)
+TEST(ServeConfigTest, DefaultsResolveToTheDocumentedPolicy)
 {
+    const ResolvedServePolicy p = ServeOptions().resolve();
+    EXPECT_EQ(p.maxBatch, 8);
+    EXPECT_EQ(p.maxWaitUs, 2000);
+    EXPECT_EQ(p.queueCap, 64);
+    EXPECT_EQ(p.queuePolicy, QueuePolicy::RejectNew);
+    EXPECT_TRUE(p.degrade);
+    EXPECT_TRUE(p.admission);
+    EXPECT_TRUE(p.shedExpired);
+    EXPECT_EQ(ServeOptions().defaultDeadlineUs, 100000);
+
+    // An explicit field is what the batcher runs on.
     ServeOptions opts;
     opts.maxBatch = 16;
     opts.maxWaitUs = 123;
-    EXPECT_EQ(opts.resolvedMaxBatch(), 16);
-    EXPECT_EQ(opts.resolvedMaxWaitUs(), 123);
-
-    // Fallback path: the env knob (or its default) applies.
-    ServeOptions defaults;
-    EXPECT_EQ(defaults.resolvedMaxBatch(), configuredServeMaxBatch());
-    EXPECT_EQ(defaults.resolvedMaxWaitUs(), configuredServeMaxWaitUs());
+    opts.degrade = false;
+    EXPECT_EQ(opts.resolve().maxBatch, 16);
+    EXPECT_EQ(opts.resolve().maxWaitUs, 123);
+    EXPECT_FALSE(opts.resolve().degrade);
 }
 
 /** Build a one-off Batch around explicit requests. */
