@@ -6,8 +6,12 @@
  * with the trans_a/trans_b combination the model actually issues
  * (attention's K^T score GEMM, the backward weight gradients'
  * A^T B), plus one (T,T) case so all four combinations are covered.
- * Reports GFLOP/s per engine and the packed-over-reference speedup,
- * single-threaded so the comparison isolates the per-core hot path.
+ * Reports GFLOP/s for the reference engine and for every packed ISA
+ * variant this host runs (`<shape>.<isa>.packed_gflops`, sse2
+ * always), the dispatched variant's speedup over the reference, and
+ * `variants_bitwise_equal` (1 when every variant's output is
+ * bit-for-bit the sse2 variant's; the bench exits 1 otherwise).
+ * Single-threaded, so the comparison isolates the per-core hot path.
  *
  * Usage: bench_gemm_microkernel [--quick] [--json <path>]
  *   --quick shrinks the mini-batch and repetitions for CI smoke runs.
@@ -16,12 +20,14 @@
  */
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/bertprof.h"
 #include "harness.h"
 #include "ops/gemm.h"
+#include "ops/gemm_microkernel.h"
 #include "runtime/config.h"
 #include "util/rng.h"
 
@@ -82,6 +88,8 @@ main(int argc, char **argv)
     report.config("seq", static_cast<double>(seq));
     report.config("d_model", static_cast<double>(d_model));
 
+    const std::vector<GemmIsa> isas = availableGemmIsas();
+    bool all_bitwise = true;
     for (const ShapeCase &s : shapes) {
         Rng rng(90210);
         const Shape a_shape =
@@ -100,30 +108,49 @@ main(int argc, char **argv)
         a.fillNormal(rng);
         b.fillNormal(rng);
 
-        const auto run = [&] {
+        const auto reference = [&] {
             if (s.batch > 1)
                 batchedGemm(a, b, c, s.trans_a, s.trans_b);
             else
                 gemm(a, b, c, s.trans_a, s.trans_b);
         };
+        // One variant, called directly: the serial equivalent of the
+        // dispatched gemm()/batchedGemm() at one thread.
+        const auto packed = [&](GemmIsa isa) {
+            const std::int64_t a_step = s.m * s.k, b_step = s.k * s.n,
+                               c_step = s.m * s.n;
+            for (std::int64_t g = 0; g < s.batch; ++g)
+                gemmPackedRowsFor(isa, a.data() + g * a_step,
+                                  b.data() + g * b_step,
+                                  c.data() + g * c_step, s.m, s.n, s.k,
+                                  s.trans_a, s.trans_b, 1.0f, 0.0f, 0, s.m);
+        };
         const double flops = 2.0 * static_cast<double>(s.m) *
                              static_cast<double>(s.n) *
                              static_cast<double>(s.k) *
                              static_cast<double>(s.batch);
-        const auto use = [](GemmImpl impl) {
-            return [impl] { setGemmImpl(impl); };
-        };
-        const std::vector<bench::Stats> t = bench::runRoundRobin(
-            {{use(GemmImpl::Reference), run}, {use(GemmImpl::Packed), run}},
-            reps);
+        std::vector<bench::Config> configs = {
+            {[] { setGemmImpl(GemmImpl::Reference); }, reference}};
+        for (const GemmIsa isa : isas)
+            configs.push_back({{}, [&packed, isa] { packed(isa); }});
+        const std::vector<bench::Stats> t =
+            bench::runRoundRobin(configs, reps);
 
-        // The engines must agree: rounding from their different
-        // association orders only.
-        setGemmImpl(GemmImpl::Reference);
-        run();
+        // Every variant must reproduce the sse2 bits; the reference
+        // engine differs by rounding from its association order.
+        reference();
         const Tensor c_ref = c.clone();
-        setGemmImpl(GemmImpl::Packed);
-        run();
+        packed(GemmIsa::Sse2);
+        const Tensor c_sse2 = c.clone();
+        bool bitwise = true;
+        for (const GemmIsa isa : isas) {
+            packed(isa);
+            bitwise = bitwise &&
+                      std::memcmp(c.data(), c_sse2.data(),
+                                  static_cast<std::size_t>(c.numel()) *
+                                      sizeof(float)) == 0;
+        }
+        all_bitwise = all_bitwise && bitwise;
 
         std::string dims = std::string(s.trans_a ? "T" : "N") +
                            (s.trans_b ? "T" : "N") + " " +
@@ -133,17 +160,28 @@ main(int argc, char **argv)
             dims += " [" + std::to_string(s.batch) + "]";
         report.config(s.name, dims);
         report.rate(s.name + ".ref_gflops", "GFLOP/s", flops * 1e-9, t[0]);
-        report.rate(s.name + ".packed_gflops", "GFLOP/s", flops * 1e-9,
-                    t[1]);
-        report.stats(s.name + ".speedup", "x", bench::pairedRatio(t[0], t[1]));
+        for (std::size_t v = 0; v < isas.size(); ++v)
+            report.rate(s.name + "." + gemmIsaName(isas[v]) +
+                            ".packed_gflops",
+                        "GFLOP/s", flops * 1e-9, t[v + 1]);
+        // The last variant is the widest, i.e. the dispatched one.
+        report.stats(s.name + ".speedup", "x",
+                     bench::pairedRatio(t[0], t.back()));
         report.value(s.name + ".max_abs_diff", maxAbsDiff(c, c_ref), "abs");
+        report.value(s.name + ".variants_bitwise_equal", bitwise ? 1 : 0,
+                     "bool");
     }
     clearGemmImplOverride();
     setNumThreads(0);
 
-    std::printf("Both engines run the identical deterministic row "
-                "partition; max_abs_diff is rounding from their different\n"
+    std::printf("max_abs_diff (dispatched variant vs reference) is "
+                "rounding from the engines' different\n"
                 "association orders, not nondeterminism "
                 "(tests/test_gemm_microkernel.cc cross-checks both).\n");
-    return report.emit();
+    const int status = report.emit();
+    if (!all_bitwise) {
+        std::fprintf(stderr, "packed GEMM variants disagree bitwise\n");
+        return 1;
+    }
+    return status;
 }

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <thread>
 
+#include "ops/gemm_microkernel.h"
 #include "runtime/config.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -169,16 +170,15 @@ runRoundRobin(const std::vector<Config> &configs, int reps,
 }
 
 Report::Report(std::string bench, const Args &args)
-    : Report(std::move(bench), args.quick, configuredNumThreads(),
-             std::thread::hardware_concurrency())
+    : Report(std::move(bench), args.quick,
+             {configuredNumThreads(), std::thread::hardware_concurrency(),
+              gemmIsaName(dispatchedGemmIsa()), BERTPROF_NATIVE_BUILD != 0})
 {
     jsonPath_ = args.jsonPath;
 }
 
-Report::Report(std::string bench, bool quick, int threads,
-               unsigned hardware_concurrency)
-    : bench_(std::move(bench)), quick_(quick), threads_(threads),
-      hardwareConcurrency_(hardware_concurrency)
+Report::Report(std::string bench, bool quick, Host host)
+    : bench_(std::move(bench)), quick_(quick), host_(std::move(host))
 {
 }
 
@@ -232,9 +232,11 @@ std::string
 Report::text() const
 {
     std::string out = bench_ + (quick_ ? " (quick)" : "") +
-                      ": threads=" + std::to_string(threads_) +
+                      ": threads=" + std::to_string(host_.threads) +
                       ", hardware_concurrency=" +
-                      std::to_string(hardwareConcurrency_) + "\n";
+                      std::to_string(host_.hardwareConcurrency) +
+                      ", gemm_isa=" + host_.gemmIsa + ", native_build=" +
+                      (host_.nativeBuild ? "true" : "false") + "\n";
     if (!config_.empty()) {
         std::string sep = "config: ";
         for (const auto &[key, v] : config_) {
@@ -257,9 +259,12 @@ Report::json() const
 {
     std::string out = "{\n  \"bench\": " + jsonQuote(bench_) +
                       ",\n  \"quick\": " + (quick_ ? "true" : "false") +
-                      ",\n  \"threads\": " + std::to_string(threads_) +
+                      ",\n  \"threads\": " + std::to_string(host_.threads) +
                       ",\n  \"hardware_concurrency\": " +
-                      std::to_string(hardwareConcurrency_) +
+                      std::to_string(host_.hardwareConcurrency) +
+                      ",\n  \"gemm_isa\": " + jsonQuote(host_.gemmIsa) +
+                      ",\n  \"native_build\": " +
+                      (host_.nativeBuild ? "true" : "false") +
                       ",\n  \"config\": {";
     for (std::size_t i = 0; i < config_.size(); ++i)
         out += (i ? ", " : "") + jsonQuote(config_[i].first) + ": " +

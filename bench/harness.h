@@ -7,9 +7,14 @@
  * and as the JSON file. Every file has the same schema:
  *
  *   {"bench": str, "quick": bool, "threads": int,
- *    "hardware_concurrency": int, "config": {str: str|number},
+ *    "hardware_concurrency": int, "gemm_isa": str, "native_build": bool,
+ *    "config": {str: str|number},
  *    "metrics": [{"name", "value", "unit", "n", "q1", "q3"}]}
  *
+ * `threads` through `native_build` fingerprint the host and build:
+ * the runtime's thread count, std::thread::hardware_concurrency(),
+ * the packed-GEMM variant the run dispatched to ("sse2", "avx2",
+ * "avx512") and whether it was built with -DBERTPROF_NATIVE=ON.
  * `value` is the median for a timed metric and `q1`/`q3` its first
  * and third quartiles over `n` reps. `q1`/`q3` are null for a value
  * measured once (a count, a one-shot ratio), and `value` is null for
@@ -100,15 +105,21 @@ struct Metric {
     double q3 = 0.0;
 };
 
+/** The host and build a report was measured on. */
+struct Host {
+    int threads = 1;
+    unsigned hardwareConcurrency = 1;
+    std::string gemmIsa;
+    bool nativeBuild = false;
+};
+
 /** The metric list of one run, rendered as text and as JSON. */
 class Report
 {
   public:
-    /** A report for this host: the runtime's thread count and
-     *  std::thread::hardware_concurrency(). */
+    /** A report for this host and build. */
     Report(std::string bench, const Args &args);
-    Report(std::string bench, bool quick, int threads,
-           unsigned hardware_concurrency);
+    Report(std::string bench, bool quick, Host host);
 
     void config(const std::string &key, double value);
     void config(const std::string &key, const std::string &value);
@@ -138,8 +149,7 @@ class Report
   private:
     std::string bench_;
     bool quick_;
-    int threads_;
-    unsigned hardwareConcurrency_;
+    Host host_;
     std::string jsonPath_;
     /** key -> (display text, JSON literal), in insertion order. */
     std::vector<std::pair<std::string, std::pair<std::string, std::string>>>

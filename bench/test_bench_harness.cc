@@ -137,7 +137,7 @@ TEST(BenchHarnessArgs, SharedAndBenchFlags)
 
 TEST(BenchHarnessReport, RateSwapsQuartiles)
 {
-    Report report("bench_x", false, 1, 1);
+    Report report("bench_x", false, {});
     report.rate("r", "GFLOP/s", 8.0, summarize({1.0, 2.0, 4.0}));
     const Metric &m = report.metrics().at(0);
     EXPECT_DOUBLE_EQ(m.value, 4.0);
@@ -148,7 +148,7 @@ TEST(BenchHarnessReport, RateSwapsQuartiles)
 
 TEST(BenchHarnessReport, JsonMatchesGolden)
 {
-    Report report("bench_\"golden\"", true, 4, 8);
+    Report report("bench_\"golden\"", true, {4, 8, "avx512", true});
     report.config("d_model", 128);
     report.config("label", "a\"b\\c\nd\te\x01");
     report.millis("case.time", summarize({0.001, 0.002, 0.003}));
@@ -161,6 +161,8 @@ TEST(BenchHarnessReport, JsonMatchesGolden)
         "  \"quick\": true,\n"
         "  \"threads\": 4,\n"
         "  \"hardware_concurrency\": 8,\n"
+        "  \"gemm_isa\": \"avx512\",\n"
+        "  \"native_build\": true,\n"
         "  \"config\": {\"d_model\": 128, "
         "\"label\": \"a\\\"b\\\\c\\nd\\te\\u0001\"},\n"
         "  \"metrics\": [\n"
@@ -177,6 +179,9 @@ TEST(BenchHarnessReport, JsonMatchesGolden)
     const std::string text = report.text();
     EXPECT_NE(text.find("unresolved"), std::string::npos);
     EXPECT_NE(text.find("config: d_model=128"), std::string::npos);
+    EXPECT_NE(text.find("threads=4, hardware_concurrency=8, gemm_isa=avx512, "
+                        "native_build=true"),
+              std::string::npos);
 }
 
 } // namespace

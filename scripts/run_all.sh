@@ -7,6 +7,13 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 
+# GEMM stage: every packed-GEMM ISA variant the host runs must match
+# the sse2 variant bit for bit (and the reference engine to rounding).
+# The label's bench smoke records the dispatched variant, printed here
+# so the log shows which kernel ran.
+ctest --test-dir build -L gemm --output-on-failure
+grep -o '"gemm_isa": "[a-z0-9]*"' build/bench/bench_gemm_microkernel.json
+
 # Crash-safety coverage beyond what in-process tests can show: the
 # `robust` label re-runs the checkpoint/fault-injection/resume suites
 # explicitly, and check_resume.sh kills a real training process inside

@@ -14,9 +14,11 @@
 # gates on it.
 #
 # Usage: scripts/run_bench.sh [--native]
-#   --native configures with -DBERTPROF_NATIVE=ON (-march=native) so
-#   the microkernel vectorizes to the host's widest FMA ISA. Results
-#   captured this way are only comparable to other --native runs.
+#   --native configures with -DBERTPROF_NATIVE=ON (-march=native).
+#   The packed GEMM already runs the host's widest ISA in every build
+#   (run-time dispatch); -march=native also vectorizes the other
+#   kernels for the host. Results captured this way are only
+#   comparable to other --native runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -1,0 +1,18 @@
+// The baseline packed GEMM: a 4x8 register tile, built with the
+// target's default flags (SSE2 on x86-64) and -ffp-contract=off
+// (src/ops/CMakeLists.txt). Every build has it.
+#include "ops/gemm_kernel.h"
+
+namespace bertprof {
+
+void
+gemmPackedRowsSse2(const float *a, const float *b, float *c, std::int64_t m,
+                   std::int64_t n, std::int64_t k, bool trans_a, bool trans_b,
+                   float alpha, float beta, std::int64_t row_begin,
+                   std::int64_t row_end, float *a_packed, float *b_packed)
+{
+    packedRows<4, 8>(a, b, c, m, n, k, trans_a, trans_b, alpha, beta,
+                     row_begin, row_end, a_packed, b_packed);
+}
+
+} // namespace bertprof

@@ -12,57 +12,43 @@
  *
  * The microkernel accumulates an MR x NR tile in a local register
  * block with unit-stride loads from both packed panels; the inner
- * loop is written so the compiler auto-vectorizes it into FMA
- * sequences (build with -DBERTPROF_NATIVE=ON for the host's widest
- * vector ISA). Packing absorbs all four transpose combinations, so
- * the transposed-operand GEMMs (attention K^T, every backward
- * weight gradient) run the same contiguous hot loop as the
- * non-transposed ones.
+ * loop is written so the compiler auto-vectorizes it. Packing absorbs
+ * all four transpose combinations, so the transposed-operand GEMMs
+ * (attention K^T, every backward weight gradient) run the same
+ * contiguous hot loop as the non-transposed ones.
+ *
+ * ISA dispatch: the loop nest (ops/gemm_kernel.h) is compiled once per
+ * x86 ISA — SSE2 4x8, AVX2 4x32, AVX-512F 8x32 tiles — and
+ * gemmPackedRows runs the widest one the host supports, chosen once
+ * per process. Every variant is built with -ffp-contract=off.
  *
  * Determinism: each output element's accumulation order is a pure
  * function of (n, k) — KC blocks in ascending pc order, products in
- * ascending p order within a block — and never of the row partition
- * executing it. Row-sliced parallel execution is therefore bitwise
- * identical to one serial call for every thread count. (Bits may
- * differ from the reference kernel and across ISAs/builds; the
- * contract is per-build thread-count invariance, as with the rest of
- * the runtime.)
+ * ascending p order within a block, each a rounded multiply then a
+ * rounded add — and never of the row partition, the tile geometry or
+ * the ISA executing it. Output is therefore bitwise identical for
+ * every thread count, every variant and every build (it differs from
+ * the reference kernel, which associates differently).
  */
 
 #ifndef BERTPROF_OPS_GEMM_MICROKERNEL_H
 #define BERTPROF_OPS_GEMM_MICROKERNEL_H
 
 #include <cstdint>
+#include <vector>
 
 namespace bertprof {
-
-/**
- * Register-tile geometry. Chosen per ISA so the MR x NR accumulator
- * block fits the architectural register file with room for operand
- * loads; tile shape affects only performance, never results (each
- * element's accumulation order is independent of it).
- */
-#if defined(__AVX512F__)
-inline constexpr std::int64_t kGemmMR = 8;
-inline constexpr std::int64_t kGemmNR = 32;
-#elif defined(__AVX__)
-inline constexpr std::int64_t kGemmMR = 6;
-inline constexpr std::int64_t kGemmNR = 16;
-#else
-inline constexpr std::int64_t kGemmMR = 4;
-inline constexpr std::int64_t kGemmNR = 8;
-#endif
 
 /** K extent of a packed block: an MR x KC A-panel plus an NR x KC
  * B-panel stay L1-resident. Fixed across ISAs — KC is the one
  * blocking parameter that shapes accumulation order. */
 inline constexpr std::int64_t kGemmKC = 256;
 
-/** M extent of a packed A block (L2-resident; multiple of every
- * kGemmMR above, so edge handling is ISA-independent). */
+/** M extent of a packed A block (L2-resident; a multiple of every
+ * variant's MR, so edge handling is ISA-independent). */
 inline constexpr std::int64_t kGemmMC = 96;
 
-/** N extent of a packed B block (multiple of every kGemmNR). */
+/** N extent of a packed B block (a multiple of every variant's NR). */
 inline constexpr std::int64_t kGemmNC = 1024;
 
 /**
@@ -71,12 +57,50 @@ inline constexpr std::int64_t kGemmNC = 1024;
  * (A stored KxM when trans_a), op(B) is KxN (B stored NxK when
  * trans_b). Uses thread-local packing buffers — safe to call
  * concurrently on disjoint row ranges, e.g. from parallelFor with a
- * kGemmMC grain.
+ * kGemmMC grain. Runs dispatchedGemmIsa().
  */
 void gemmPackedRows(const float *a, const float *b, float *c, std::int64_t m,
                     std::int64_t n, std::int64_t k, bool trans_a,
                     bool trans_b, float alpha, float beta,
                     std::int64_t row_begin, std::int64_t row_end);
+
+/** The compiled variants of the packed loop nest, narrowest first. */
+enum class GemmIsa { Sse2, Avx2, Avx512 };
+
+/** "sse2", "avx2" or "avx512". */
+const char *gemmIsaName(GemmIsa isa);
+
+/** The CPU features the variant choice depends on. */
+struct GemmCpuFeatures {
+    bool avx2 = false;
+    bool avx512f = false;
+};
+
+/**
+ * The widest variant this build compiled that `features` can run
+ * (AVX-512 needs avx512f and avx2, since -mavx512f implies -mavx2);
+ * sse2 when none is reported. Pure: a function of its argument and
+ * the build.
+ */
+GemmIsa selectGemmIsa(const GemmCpuFeatures &features);
+
+/** The variant gemmPackedRows runs: selectGemmIsa of this host's
+ * features as __builtin_cpu_supports reports them (a feature counts
+ * only when the OS enables its register state; none off x86),
+ * resolved once per process. */
+GemmIsa dispatchedGemmIsa();
+
+/** The variants this build compiled that this host can run, narrowest
+ * first; always starts with sse2. */
+std::vector<GemmIsa> availableGemmIsas();
+
+/** gemmPackedRows on a named variant, for tests and benches that
+ * compare variants. `isa` must be in availableGemmIsas(). */
+void gemmPackedRowsFor(GemmIsa isa, const float *a, const float *b,
+                       float *c, std::int64_t m, std::int64_t n,
+                       std::int64_t k, bool trans_a, bool trans_b,
+                       float alpha, float beta, std::int64_t row_begin,
+                       std::int64_t row_end);
 
 } // namespace bertprof
 

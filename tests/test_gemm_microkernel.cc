@@ -4,11 +4,13 @@
  * shapes chosen to stress every edge path (smaller than one register
  * tile, prime extents, degenerate vectors, block-boundary
  * straddlers), all four transpose combinations, the alpha/beta
- * semantics grid, packing-layout unit tests, aliasing rejection, and
- * the BERTPROF_GEMM_IMPL resolution order.
+ * semantics grid, bitwise agreement of every ISA variant the host
+ * runs, the variant selection, packing-layout unit tests, aliasing
+ * rejection, and the BERTPROF_GEMM_IMPL resolution order.
  */
 
 #include <cstdlib>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -16,7 +18,7 @@
 
 #include "ops/gemm.h"
 #include "ops/gemm_microkernel.h"
-#include "ops/pack.h"
+#include "ops/gemm_kernel.h"
 #include "runtime/config.h"
 #include "util/rng.h"
 
@@ -97,6 +99,49 @@ TEST_P(PackedShapeTest, AllTransAlphaBetaCombosMatchNaive)
     }
 }
 
+bool
+bitwiseEqual(const Tensor &x, const Tensor &y)
+{
+    return x.numel() == y.numel() &&
+           std::memcmp(x.data(), y.data(),
+                       static_cast<std::size_t>(x.numel()) *
+                           sizeof(float)) == 0;
+}
+
+TEST_P(PackedShapeTest, EveryVariantBitwiseEqualToSse2)
+{
+    const auto [m, n, k] = GetParam();
+    Rng rng(static_cast<std::uint64_t>(m * 104729 + n * 7919 + k));
+    for (const bool trans_a : {false, true}) {
+        for (const bool trans_b : {false, true}) {
+            Tensor a(trans_a ? Shape({k, m}) : Shape({m, k}));
+            Tensor b(trans_b ? Shape({n, k}) : Shape({k, n}));
+            a.fillNormal(rng);
+            b.fillNormal(rng);
+            for (const float alpha : {0.0f, 1.0f, -2.5f}) {
+                for (const float beta : {0.0f, 1.0f, -2.5f}) {
+                    Tensor c0(Shape({m, n}));
+                    c0.fillNormal(rng);
+                    const auto run = [&](GemmIsa isa) {
+                        Tensor c = c0.clone();
+                        gemmPackedRowsFor(isa, a.data(), b.data(), c.data(),
+                                          m, n, k, trans_a, trans_b, alpha,
+                                          beta, 0, m);
+                        return c;
+                    };
+                    const Tensor want = run(GemmIsa::Sse2);
+                    for (const GemmIsa isa : availableGemmIsas())
+                        EXPECT_TRUE(bitwiseEqual(run(isa), want))
+                            << gemmIsaName(isa) << " m=" << m << " n=" << n
+                            << " k=" << k << " tA=" << trans_a
+                            << " tB=" << trans_b << " alpha=" << alpha
+                            << " beta=" << beta;
+                }
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     EdgeAndBlockShapes, PackedShapeTest,
     ::testing::Values(
@@ -168,6 +213,51 @@ TEST_F(GemmMicrokernelTest, BatchedPackedMatchesPerBatchNaive)
     }
 }
 
+TEST_F(GemmMicrokernelTest, DispatchedVariantBitwiseAcrossThreadCounts)
+{
+    // Several MC row blocks, so 8 threads really split the rows; each
+    // result must also equal the sse2 variant run serially.
+    Rng rng(2718);
+    const std::int64_t m = 203, n = 157, k = 301;
+    for (const bool trans_a : {false, true}) {
+        for (const bool trans_b : {false, true}) {
+            Tensor a(trans_a ? Shape({k, m}) : Shape({m, k}));
+            Tensor b(trans_b ? Shape({n, k}) : Shape({k, n}));
+            a.fillNormal(rng);
+            b.fillNormal(rng);
+            Tensor want(Shape({m, n}));
+            gemmPackedRowsFor(GemmIsa::Sse2, a.data(), b.data(), want.data(),
+                              m, n, k, trans_a, trans_b, 1.5f, 0.0f, 0, m);
+            for (const int threads : {1, 8}) {
+                setNumThreads(threads);
+                Tensor c(Shape({m, n}));
+                gemm(a, b, c, trans_a, trans_b, 1.5f, 0.0f);
+                EXPECT_TRUE(bitwiseEqual(c, want))
+                    << gemmIsaName(dispatchedGemmIsa())
+                    << " threads=" << threads << " tA=" << trans_a
+                    << " tB=" << trans_b;
+            }
+        }
+    }
+
+    const std::int64_t batch = 6, bm = 130, bn = 45, bk = 64;
+    Tensor a(Shape({batch, bm, bk})), b(Shape({batch, bn, bk}));
+    a.fillNormal(rng);
+    b.fillNormal(rng);
+    Tensor want(Shape({batch, bm, bn}));
+    for (std::int64_t g = 0; g < batch; ++g)
+        gemmPackedRowsFor(GemmIsa::Sse2, a.data() + g * bm * bk,
+                          b.data() + g * bn * bk, want.data() + g * bm * bn,
+                          bm, bn, bk, false, true, 1.0f, 0.0f, 0, bm);
+    for (const int threads : {1, 8}) {
+        setNumThreads(threads);
+        Tensor c(Shape({batch, bm, bn}));
+        batchedGemm(a, b, c, false, true);
+        EXPECT_TRUE(bitwiseEqual(c, want))
+            << gemmIsaName(dispatchedGemmIsa()) << " threads=" << threads;
+    }
+}
+
 TEST_F(GemmMicrokernelTest, StatsIdenticalToReferenceEngine)
 {
     Tensor a(Shape({19, 31})), b(Shape({31, 23})), c(Shape({19, 23}));
@@ -212,6 +302,28 @@ TEST(GemmPack, PackBZeroPadsRaggedPanels)
     packB(b.data(), 3, 1, 2, 3, 2, dst.data());
     const std::vector<float> want = {1, 2, 4, 5, 3, 0, 6, 0};
     EXPECT_EQ(dst, want);
+}
+
+TEST(GemmIsaSelect, PicksWidestSupportedVariantElseSse2)
+{
+    EXPECT_EQ(selectGemmIsa({}), GemmIsa::Sse2);
+#if defined(__x86_64__)
+    EXPECT_EQ(selectGemmIsa({.avx2 = true, .avx512f = true}),
+              GemmIsa::Avx512);
+    EXPECT_EQ(selectGemmIsa({.avx2 = true, .avx512f = false}),
+              GemmIsa::Avx2);
+    // The AVX-512 variant is built with -mavx512f, which implies AVX2.
+    EXPECT_EQ(selectGemmIsa({.avx2 = false, .avx512f = true}),
+              GemmIsa::Sse2);
+#endif
+
+    const std::vector<GemmIsa> available = availableGemmIsas();
+    ASSERT_FALSE(available.empty());
+    EXPECT_EQ(available.front(), GemmIsa::Sse2);
+    EXPECT_EQ(available.back(), dispatchedGemmIsa());
+    EXPECT_STREQ(gemmIsaName(GemmIsa::Sse2), "sse2");
+    EXPECT_STREQ(gemmIsaName(GemmIsa::Avx2), "avx2");
+    EXPECT_STREQ(gemmIsaName(GemmIsa::Avx512), "avx512");
 }
 
 TEST(GemmConfig, EnvironmentSelectsEngineAndOverrideWins)
