@@ -13,7 +13,6 @@
 # Env passthrough (defaults in parentheses):
 #   BERTPROF_NUM_THREADS (8)  pool width while testing
 #   BERTPROF_GEMM_IMPL (packed)  GEMM engine: packed | reference
-#   BERTPROF_FUSION (off)  eager fused kernels: on | off
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,7 +25,6 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)"
 
 export BERTPROF_NUM_THREADS="${BERTPROF_NUM_THREADS:-8}"
 export BERTPROF_GEMM_IMPL="${BERTPROF_GEMM_IMPL:-packed}"
-export BERTPROF_FUSION="${BERTPROF_FUSION:-off}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1 abort_on_error=0 exitcode=66}"
 
 if [[ -n "${LABEL}" ]]; then
@@ -37,5 +35,4 @@ fi
 if [[ -z "${LABEL}" || "${LABEL}" == "robust" ]]; then
     scripts/check_resume.sh "${BUILD_DIR}"
 fi
-echo "AddressSanitizer run clean (GEMM_IMPL=${BERTPROF_GEMM_IMPL}," \
-     "FUSION=${BERTPROF_FUSION})."
+echo "AddressSanitizer run clean (GEMM_IMPL=${BERTPROF_GEMM_IMPL})."

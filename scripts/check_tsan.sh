@@ -20,9 +20,8 @@
 #     sweep both so the sanitizer matrix covers the reference engine's
 #     row partition as well as the packed engine's thread-local
 #     packing buffers.
-#   BERTPROF_FUSION (off)  eager fused kernels: on | off — sweep
-#     both so the matrix also covers the fused kernels' thread-local
-#     scratch rows.
+# Every eval forward runs the fused kernels, so the matrix covers
+# their thread-local scratch rows without a knob.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,7 +39,6 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)"
 # the other engine.
 export BERTPROF_NUM_THREADS="${BERTPROF_NUM_THREADS:-8}"
 export BERTPROF_GEMM_IMPL="${BERTPROF_GEMM_IMPL:-packed}"
-export BERTPROF_FUSION="${BERTPROF_FUSION:-off}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=0 exitcode=66}"
 
 if [[ -n "${LABEL}" ]]; then
@@ -57,5 +55,4 @@ fi
 if [[ -z "${LABEL}" || "${LABEL}" == "serve" ]]; then
     scripts/check_chaos.sh "${BUILD_DIR}"
 fi
-echo "ThreadSanitizer run clean (GEMM_IMPL=${BERTPROF_GEMM_IMPL}," \
-     "FUSION=${BERTPROF_FUSION})."
+echo "ThreadSanitizer run clean (GEMM_IMPL=${BERTPROF_GEMM_IMPL})."

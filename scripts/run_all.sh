@@ -7,6 +7,10 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 
+# Tier-1 again at pool widths 1, 2, 4 and 8: no test may depend on
+# the host's core count.
+scripts/check_threads.sh build
+
 # GEMM stage: every packed-GEMM ISA variant the host runs must match
 # the sse2 variant bit for bit (and the reference engine to rounding).
 # The label's bench smoke records the dispatched variant, printed here
@@ -33,11 +37,9 @@ ctest --test-dir build -L serve --output-on-failure
 # shutdown and zero unresolved futures under every plan.
 scripts/check_chaos.sh build
 
-# Fusion smoke: fused-kernel parity suites plus the measured
-# fused-vs-unfused quick bench (BERTPROF_FUSION defaults off, so
-# everything above ran the unfused oracle path).
+# Fusion smoke: every fused kernel against its unfused op chain, and
+# the fused eval schedule against the unfused training chain.
 ctest --test-dir build -L fusion --output-on-failure
-build/bench/bench_fusion --quick | grep speedup
 
 # Telemetry smoke: record a real (quick) train+eval run into a trace
 # container, then replay it with bptrace — the breakdown aggregates

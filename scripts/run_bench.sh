@@ -3,9 +3,8 @@
 # the one bench harness (bench/harness.h): the GEMM engine comparison
 # (packed microkernel vs reference, Table 2b BERT-Large shapes), the
 # parallel-scaling sweep, the CPU-substrate kernel microbenchmarks,
-# the serving runtime's naive-vs-bucketed and overload sweeps,
-# fused-vs-unfused kernels, the telemetry recorder's overhead, and
-# linter throughput. Text goes to results/ as the human-readable
+# the serving runtime's naive-vs-bucketed and overload sweeps, the
+# telemetry recorder's overhead, and linter throughput. Text goes to results/ as the human-readable
 # snapshot; each results/BENCH_*.json is the same metric list in the
 # harness's one schema (median, quartiles and rep count per metric),
 # the machine-readable record successive changes can diff.
@@ -33,8 +32,7 @@ cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release \
     -DBERTPROF_NATIVE="${NATIVE}"
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
     --target bench_gemm_microkernel bench_cpu_parallel_scaling \
-    bench_cpu_substrate bench_serving bench_trace_overhead bench_fusion \
-    bench_bplint
+    bench_cpu_substrate bench_serving bench_trace_overhead bench_bplint
 
 mkdir -p results
 "${BUILD_DIR}/bench/bench_gemm_microkernel" \
@@ -56,9 +54,6 @@ mkdir -p results
     --json results/BENCH_trace.json \
     --record results/bench_trace_overhead.bptr \
     | tee results/bench_trace_overhead.txt
-"${BUILD_DIR}/bench/bench_fusion" \
-    --json results/BENCH_fusion.json \
-    | tee results/bench_fusion.txt
 "${BUILD_DIR}/bench/bench_bplint" \
     --json results/BENCH_lint.json \
     | tee results/bench_bplint.txt
@@ -71,5 +66,4 @@ echo "snapshots: results/bench_gemm_microkernel.txt," \
      "results/bench_serving_overload.txt," \
      "results/BENCH_serving_overload.json," \
      "results/bench_trace_overhead.txt, results/BENCH_trace.json," \
-     "results/bench_fusion.txt, results/BENCH_fusion.json," \
      "results/bench_bplint.txt, results/BENCH_lint.json"

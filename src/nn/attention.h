@@ -3,7 +3,9 @@
  * Multi-head self-attention exactly as Fig. 5 of the paper: Q/K/V
  * linear projections (GEMMs), per-head attention score and context
  * batched-GEMMs over B*h groups, the scale/mask/softmax/dropout
- * element-wise chain, and the output projection.
+ * element-wise chain, and the output projection. Training runs that
+ * per-op chain; eval runs the fused packed-QKV and one-pass attention
+ * kernels of ops/fused.h instead (DESIGN.md §13).
  */
 
 #ifndef BERTPROF_NN_ATTENTION_H
@@ -66,12 +68,6 @@ class MultiHeadAttention : public Module
     Tensor probs_;             ///< post-softmax scores [B*h, n, n]
     Tensor dropMask_;          ///< dropout mask on probs
     Tensor probsDropped_;      ///< probs after dropout
-
-    // Fused-QKV training state: the projection input, kept so
-    // backward can run the single concatenated-weight GEMM pair
-    // instead of three Linear backwards.
-    Tensor xSaved_;
-    bool usedFusedQkv_ = false;
 };
 
 } // namespace bertprof

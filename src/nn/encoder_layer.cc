@@ -2,7 +2,6 @@
 
 #include "ops/dropout.h"
 #include "ops/elementwise.h"
-#include "runtime/config.h"
 #include "tensor/contracts.h"
 #include "util/logging.h"
 
@@ -37,64 +36,56 @@ EncoderLayer::forward(const Tensor &x, const Tensor &mask,
     BP_REQUIRE(x.shape().dim(0) == batch * seq);
     const bool training = isTraining();
     hasForwardState_ = training;
+
+    Tensor attn_out = attn_.forward(x, mask, batch, seq);
     if (!training) {
+        // Eval schedule: the block dropouts are exact identities (no
+        // RNG draw, no mask alloc), so each residual+LN kernel reads
+        // the sub-layer output directly and the sum never touches
+        // memory.
         attnDropMask_ = Tensor();
         ffDropMask_ = Tensor();
+        Tensor normed = ln1_.forwardFusedResidual(attn_out, x);
+        Tensor ff_out = ff_.forward(normed);
+        return ln2_.forwardFusedResidual(ff_out, normed);
     }
-    const bool fused = fusionEnabled();
 
-    // Attention sub-layer + DR + RC + LN. Eval mode: the block
-    // dropouts are exact identities (no RNG draw, no mask alloc), so
-    // the residual adds read the sub-layer outputs directly.
-    Tensor attn_out = attn_.forward(x, mask, batch, seq);
-    const Tensor *residual_in = &attn_out;
-    Tensor dropped;
-    if (training) {
-        dropped = Tensor(attn_out.shape());
-        attnDropMask_ = Tensor(attn_out.shape());
+    // Training schedule. Attention sub-layer + DR + RC + LN.
+    Tensor dropped(attn_out.shape());
+    attnDropMask_ = Tensor(attn_out.shape());
+    {
         ScopedKernel k(rt_->profiler, "attn.block.dropout",
                        OpKind::Elementwise, Phase::Fwd,
                        LayerScope::Transformer, SubLayer::DrRcLn);
         k.setStats(dropoutForward(attn_out, rt_->effectiveDropout(),
                                   rt_->rng, dropped, attnDropMask_));
-        residual_in = &dropped;
     }
-    Tensor normed;
-    if (fused) {
-        normed = ln1_.forwardFusedResidual(*residual_in, x);
-    } else {
-        Tensor residual(attn_out.shape());
-        {
-            ScopedKernel k(rt_->profiler, "attn.block.residual",
-                           OpKind::Elementwise, Phase::Fwd,
-                           LayerScope::Transformer, SubLayer::DrRcLn);
-            k.setStats(addForward(*residual_in, x, residual));
-        }
-        normed = ln1_.forward(residual);
+    Tensor residual(attn_out.shape());
+    {
+        ScopedKernel k(rt_->profiler, "attn.block.residual",
+                       OpKind::Elementwise, Phase::Fwd,
+                       LayerScope::Transformer, SubLayer::DrRcLn);
+        k.setStats(addForward(dropped, x, residual));
     }
+    Tensor normed = ln1_.forward(residual);
 
     // Feed-forward sub-layer + DR + RC + LN.
     Tensor ff_out = ff_.forward(normed);
-    const Tensor *ff_residual_in = &ff_out;
-    Tensor ff_dropped;
-    if (training) {
-        ff_dropped = Tensor(ff_out.shape());
-        ffDropMask_ = Tensor(ff_out.shape());
+    Tensor ff_dropped(ff_out.shape());
+    ffDropMask_ = Tensor(ff_out.shape());
+    {
         ScopedKernel k(rt_->profiler, "ff.block.dropout",
                        OpKind::Elementwise, Phase::Fwd,
                        LayerScope::Transformer, SubLayer::DrRcLn);
         k.setStats(dropoutForward(ff_out, rt_->effectiveDropout(), rt_->rng,
                                   ff_dropped, ffDropMask_));
-        ff_residual_in = &ff_dropped;
     }
-    if (fused)
-        return ln2_.forwardFusedResidual(*ff_residual_in, normed);
     Tensor ff_residual(ff_out.shape());
     {
         ScopedKernel k(rt_->profiler, "ff.block.residual",
                        OpKind::Elementwise, Phase::Fwd,
                        LayerScope::Transformer, SubLayer::DrRcLn);
-        k.setStats(addForward(*ff_residual_in, normed, ff_residual));
+        k.setStats(addForward(ff_dropped, normed, ff_residual));
     }
     return ln2_.forward(ff_residual);
 }

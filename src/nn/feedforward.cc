@@ -2,7 +2,6 @@
 
 #include "ops/activation.h"
 #include "ops/fused.h"
-#include "runtime/config.h"
 #include "util/logging.h"
 
 namespace bertprof {
@@ -27,46 +26,27 @@ FeedForward::initialize(Rng &rng, float stddev)
 Tensor
 FeedForward::forward(const Tensor &x)
 {
-    const bool training = isTraining();
-    if (fusionEnabled()) {
-        // FC1 GEMM without its bias epilogue; the bias rides along in
-        // the fused bias+GeLU kernel (bitwise vs the unfused pair).
+    if (!isTraining()) {
+        // Eval schedule: FC1 GEMM without its bias epilogue; the bias
+        // rides along in the fused bias+GeLU kernel (bitwise vs the
+        // unfused pair).
+        savedPreGelu_ = Tensor();
+        hasSaved_ = false;
         Tensor pre_gemm = fc1_.forwardGemm(x);
         Tensor activated(pre_gemm.shape());
-        if (training) {
-            // Backward needs the post-bias pre-activation; the fused
-            // kernel materializes it alongside the activation.
-            savedPreGelu_ = Tensor(pre_gemm.shape());
-            hasSaved_ = true;
-        } else {
-            savedPreGelu_ = Tensor();
-            hasSaved_ = false;
-        }
         {
             ScopedKernel k(rt_->profiler, "bias_gelu.fwd",
                            OpKind::Elementwise, Phase::Fwd,
                            LayerScope::Transformer, SubLayer::FcGelu);
-            if (training) {
-                k.setStats(fusedBiasGeluForwardWithPre(
-                    pre_gemm, fc1_.bias().value, savedPreGelu_,
-                    activated));
-            } else {
-                k.setStats(fusedBiasGeluForward(pre_gemm,
-                                                fc1_.bias().value,
-                                                activated));
-            }
+            k.setStats(fusedBiasGeluForward(pre_gemm, fc1_.bias().value,
+                                            activated));
         }
         return fc2_.forward(activated);
     }
 
     Tensor pre = fc1_.forward(x);
-    if (training) {
-        savedPreGelu_ = pre.clone();
-        hasSaved_ = true;
-    } else {
-        savedPreGelu_ = Tensor();
-        hasSaved_ = false;
-    }
+    savedPreGelu_ = pre.clone();
+    hasSaved_ = true;
     Tensor activated(pre.shape());
     {
         ScopedKernel k(rt_->profiler, "gelu.fwd", OpKind::Elementwise,

@@ -50,35 +50,22 @@ LayerNorm::forward(const Tensor &x)
 Tensor
 LayerNorm::forwardFusedResidual(const Tensor &a, const Tensor &b)
 {
+    BP_REQUIRE(!isTraining());
     BP_REQUIRE(a.shape().rank() == 2 && a.shape().dim(1) == dim_);
     const std::int64_t rows = a.shape().dim(0);
     Tensor mean(Shape({rows}));
     Tensor rstd(Shape({rows}));
     Tensor y(a.shape());
-    if (isTraining())
-        savedInput_ = Tensor(a.shape());
     {
         ScopedKernel k(rt_->profiler, gamma_.name + ".res_ln.fwd",
                        OpKind::Reduction, Phase::Fwd, scope_, sub_);
-        if (isTraining()) {
-            k.setStats(fusedResidualLayerNormForwardWithSum(
-                a, b, gamma_.value, beta_.value, savedInput_, y, mean,
-                rstd));
-        } else {
-            k.setStats(fusedResidualLayerNormForward(
-                a, b, gamma_.value, beta_.value, y, mean, rstd));
-        }
+        k.setStats(fusedResidualLayerNormForward(
+            a, b, gamma_.value, beta_.value, y, mean, rstd));
     }
-    if (isTraining()) {
-        savedMean_ = std::move(mean);
-        savedRstd_ = std::move(rstd);
-        hasSaved_ = true;
-    } else {
-        savedInput_ = Tensor();
-        savedMean_ = Tensor();
-        savedRstd_ = Tensor();
-        hasSaved_ = false;
-    }
+    savedInput_ = Tensor();
+    savedMean_ = Tensor();
+    savedRstd_ = Tensor();
+    hasSaved_ = false;
     return y;
 }
 

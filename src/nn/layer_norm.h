@@ -24,10 +24,9 @@ class LayerNorm : public Module
     Tensor forward(const Tensor &x);
 
     /**
-     * Fused residual + LayerNorm forward: returns LN(a + b) in one
-     * kernel. Bitwise identical to addForward then forward(). In
-     * training the sum is materialized and saved (backward needs the
-     * LN input); in eval it never touches memory.
+     * Eval-only fused residual + LayerNorm forward: returns LN(a + b)
+     * in one kernel, the sum never touching memory. Bitwise identical
+     * to addForward then forward(). Retains nothing for backward.
      */
     Tensor forwardFusedResidual(const Tensor &a, const Tensor &b);
 

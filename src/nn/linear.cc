@@ -26,22 +26,7 @@ Linear::initialize(Rng &rng, float stddev)
 Tensor
 Linear::forward(const Tensor &x)
 {
-    BP_REQUIRE(x.shape().rank() == 2 && x.shape().dim(1) == inDim_);
-    if (isTraining()) {
-        savedInput_ = x.clone();
-        hasSavedInput_ = true;
-    } else {
-        // Forward-only: nothing retained, backward() must not follow.
-        savedInput_ = Tensor();
-        hasSavedInput_ = false;
-    }
-
-    Tensor y(Shape({x.shape().dim(0), outDim_}));
-    {
-        ScopedKernel k(rt_->profiler, weight_.name + ".fwd", OpKind::Gemm,
-                       Phase::Fwd, scope_, sub_);
-        k.setStats(gemm(x, weight_.value, y, false, true));
-    }
+    Tensor y = forwardGemm(x);
     {
         ScopedKernel k(rt_->profiler, bias_.name + ".fwd",
                        OpKind::Elementwise, Phase::Fwd, scope_, sub_);
@@ -58,8 +43,8 @@ Linear::forwardGemm(const Tensor &x)
         savedInput_ = x.clone();
         hasSavedInput_ = true;
     } else {
-        savedInput_ = Tensor();
-        hasSavedInput_ = false;
+        // Forward-only: nothing retained, backward() must not follow.
+        releaseSavedInput();
     }
     Tensor y(Shape({x.shape().dim(0), outDim_}));
     {
@@ -68,6 +53,13 @@ Linear::forwardGemm(const Tensor &x)
         k.setStats(gemm(x, weight_.value, y, false, true));
     }
     return y;
+}
+
+void
+Linear::releaseSavedInput()
+{
+    savedInput_ = Tensor();
+    hasSavedInput_ = false;
 }
 
 Tensor

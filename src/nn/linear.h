@@ -37,7 +37,7 @@ class Linear : public Module
     /**
      * GEMM-only forward: y = x W^T without the bias epilogue, for
      * callers that fuse the bias into the next kernel (FC1's fused
-     * bias+GeLU). Saves the input for backward exactly as forward()
+     * bias+GeLU in eval). Saves the input for backward exactly as forward()
      * does; backward() stays valid because the bias gradient is read
      * off dout, which is the same tensor either way.
      */
@@ -50,6 +50,16 @@ class Linear : public Module
      * no input).
      */
     Tensor backward(const Tensor &dout);
+
+    /**
+     * Drop the input a training forward saved, for an eval forward
+     * that reads weight() directly instead of calling forward() (the
+     * packed QKV GEMM). backward() must not follow.
+     */
+    void releaseSavedInput();
+
+    /** True while a training forward's input is held for backward(). */
+    bool hasSavedInput() const { return hasSavedInput_; }
 
     void collectParameters(std::vector<Parameter *> &out) override;
 

@@ -108,41 +108,6 @@ fusedBiasGeluForward(const Tensor &in, const Tensor &bias, Tensor &out)
 }
 
 KernelStats
-fusedBiasGeluForwardWithPre(const Tensor &in, const Tensor &bias,
-                            Tensor &pre, Tensor &out)
-{
-    BP_CHECK_SAME_SHAPE(in, out);
-    BP_CHECK_SAME_SHAPE(in, pre);
-    BP_CHECK_RANK(bias, 1);
-    BP_CHECK_NO_PARTIAL_ALIAS(pre, in);
-    BP_CHECK_NO_ALIAS(out, pre);
-    BP_CHECK_NO_ALIAS(out, in);
-    BP_CHECK_NO_ALIAS(out, bias);
-    const std::int64_t cols = bias.shape().dim(0);
-    BP_REQUIRE(in.numel() % cols == 0);
-    const std::int64_t rows = in.numel() / cols;
-
-    parallelFor(0, rows, rowGrain(cols),
-                [&](std::int64_t r_lo, std::int64_t r_hi) {
-                    for (std::int64_t r = r_lo; r < r_hi; ++r) {
-                        const float *src = in.data() + r * cols;
-                        const float *bv = bias.data();
-                        float *prow = pre.data() + r * cols;
-                        float *dst = out.data() + r * cols;
-                        for (std::int64_t c = 0; c < cols; ++c) {
-                            const float p = src[c] + bv[c];
-                            prow[c] = p;
-                            dst[c] = geluScalar(p);
-                        }
-                    }
-                });
-    KernelStats s = elementwiseStats(in.numel(), 1, 2, 6,
-                                     dtypeBytes(in.dtype()));
-    s.bytesRead += bias.storageBytes();
-    return s;
-}
-
-KernelStats
 fusedResidualLayerNormForward(const Tensor &a, const Tensor &b,
                               const Tensor &gamma, const Tensor &beta,
                               Tensor &out, Tensor &mean, Tensor &rstd,
@@ -178,48 +143,6 @@ fusedResidualLayerNormForward(const Tensor &a, const Tensor &b,
     // writes out — the unfused residual's extra write and the LN's
     // re-read of the sum never happen.
     KernelStats s = elementwiseStats(a.numel(), 2, 1, 7,
-                                     dtypeBytes(a.dtype()));
-    s.bytesRead += gamma.storageBytes() + beta.storageBytes();
-    s.bytesWritten += mean.storageBytes() + rstd.storageBytes();
-    return s;
-}
-
-KernelStats
-fusedResidualLayerNormForwardWithSum(const Tensor &a, const Tensor &b,
-                                     const Tensor &gamma,
-                                     const Tensor &beta, Tensor &sum,
-                                     Tensor &out, Tensor &mean,
-                                     Tensor &rstd, float eps)
-{
-    BP_CHECK_SAME_SHAPE(a, b);
-    BP_CHECK_SAME_SHAPE(a, sum);
-    BP_CHECK_SAME_SHAPE(a, out);
-    BP_CHECK_RANK(gamma, 1);
-    BP_CHECK_SAME_SHAPE(beta, gamma);
-    BP_CHECK_NO_ALIAS(sum, a);
-    BP_CHECK_NO_ALIAS(sum, b);
-    BP_CHECK_NO_ALIAS(out, sum);
-    BP_CHECK_NO_ALIAS(out, a);
-    BP_CHECK_NO_ALIAS(out, b);
-    const std::int64_t cols = gamma.shape().dim(0);
-    BP_REQUIRE(a.shape().dim(-1) == cols);
-    const std::int64_t rows = a.numel() / cols;
-    BP_REQUIRE(mean.numel() == rows && rstd.numel() == rows);
-
-    parallelFor(0, rows, rowGrain(cols),
-                [&](std::int64_t r_lo, std::int64_t r_hi) {
-                    for (std::int64_t r = r_lo; r < r_hi; ++r) {
-                        const float *av = a.data() + r * cols;
-                        const float *bv = b.data() + r * cols;
-                        float *srow = sum.data() + r * cols;
-                        for (std::int64_t c = 0; c < cols; ++c)
-                            srow[c] = av[c] + bv[c];
-                        layerNormRow(srow, gamma.data(), beta.data(),
-                                     cols, eps, out.data() + r * cols,
-                                     mean.data() + r, rstd.data() + r);
-                    }
-                });
-    KernelStats s = elementwiseStats(a.numel(), 2, 2, 7,
                                      dtypeBytes(a.dtype()));
     s.bytesRead += gamma.storageBytes() + beta.storageBytes();
     s.bytesWritten += mean.storageBytes() + rstd.storageBytes();
@@ -302,100 +225,6 @@ fusedQkvForward(const Tensor &x, const Tensor &wq, const Tensor &wk,
     epi.bytesRead +=
         bq.storageBytes() + bk.storageBytes() + bv.storageBytes();
     s += epi;
-    return s;
-}
-
-KernelStats
-fusedQkvBackward(const Tensor &dq, const Tensor &dk, const Tensor &dv,
-                 const Tensor &x, const Tensor &wq, const Tensor &wk,
-                 const Tensor &wv, Tensor &dwq, Tensor &dwk, Tensor &dwv,
-                 Tensor &dbq, Tensor &dbk, Tensor &dbv, Tensor &dx)
-{
-    BP_CHECK_RANK(x, 2);
-    const std::int64_t rows = x.shape().dim(0);
-    const std::int64_t d_model = x.shape().dim(1);
-    BP_CHECK_SAME_SHAPE(dq, x);
-    BP_CHECK_SAME_SHAPE(dk, x);
-    BP_CHECK_SAME_SHAPE(dv, x);
-    BP_CHECK_SAME_SHAPE(dx, x);
-    BP_REQUIRE(wq.shape() == Shape({d_model, d_model}));
-    BP_CHECK_SAME_SHAPE(wk, wq);
-    BP_CHECK_SAME_SHAPE(wv, wq);
-    BP_CHECK_SAME_SHAPE(dwq, wq);
-    BP_CHECK_SAME_SHAPE(dwk, wq);
-    BP_CHECK_SAME_SHAPE(dwv, wq);
-    BP_REQUIRE(dbq.shape() == Shape({d_model}));
-    BP_CHECK_SAME_SHAPE(dbk, dbq);
-    BP_CHECK_SAME_SHAPE(dbv, dbq);
-    BP_CHECK_NO_ALIAS(dx, dq);
-    BP_CHECK_NO_ALIAS(dx, dk);
-    BP_CHECK_NO_ALIAS(dx, dv);
-    BP_CHECK_NO_ALIAS(dx, x);
-
-    // Column-concatenate the three output grads: dqkv [T, 3H].
-    Tensor dqkv(Shape({rows, 3 * d_model}));
-    const float *grads[3] = {dq.data(), dk.data(), dv.data()};
-    parallelFor(0, rows, rowGrain(3 * d_model),
-                [&](std::int64_t r_lo, std::int64_t r_hi) {
-                    for (std::int64_t r = r_lo; r < r_hi; ++r) {
-                        float *dst = dqkv.data() + r * 3 * d_model;
-                        for (int s = 0; s < 3; ++s) {
-                            const float *src = grads[s] + r * d_model;
-                            for (std::int64_t c = 0; c < d_model; ++c)
-                                dst[s * d_model + c] = src[c];
-                        }
-                    }
-                });
-
-    // Fused weight grad: dWqkv = dqkv^T x -> [3H, H]. Each output
-    // element reduces over the same T rows in the same order as the
-    // per-projection GEMMs, so the row-split results are bitwise.
-    Tensor dwqkv(Shape({3 * d_model, d_model}));
-    gemm(dqkv, x, dwqkv, true, false);
-    const std::int64_t w_per = d_model * d_model;
-    Tensor *dws[3] = {&dwq, &dwk, &dwv};
-    for (int s = 0; s < 3; ++s) {
-        const float *src = dwqkv.data() + s * w_per;
-        float *dst = dws[s]->data();
-        for (std::int64_t i = 0; i < w_per; ++i)
-            dst[i] = src[i];
-    }
-
-    // Fused bias grad: column sums of dqkv with the row axis kept
-    // serial ascending — bitwise identical to three biasBackward
-    // calls (ops/elementwise.cc uses the same order).
-    float *dbs[3] = {dbq.data(), dbk.data(), dbv.data()};
-    parallelFor(0, 3 * d_model, 64,
-                [&](std::int64_t c_lo, std::int64_t c_hi) {
-                    for (std::int64_t c = c_lo; c < c_hi; ++c) {
-                        float acc = 0.0f;
-                        for (std::int64_t r = 0; r < rows; ++r)
-                            acc += dqkv.data()[r * 3 * d_model + c];
-                        dbs[c / d_model][c % d_model] = acc;
-                    }
-                });
-
-    // Fused input grad: dx = dqkv [Wq; Wk; Wv] — one k=3H GEMM
-    // replacing three k=H GEMMs plus two adds. The accumulation
-    // association differs, so this output is tolerance-only.
-    Tensor wqkv(Shape({3 * d_model, d_model}));
-    concatQkvWeights(wq, wk, wv, wqkv);
-    gemm(dqkv, wqkv, dx, false, false);
-
-    KernelStats s = gemmStats(3 * d_model, d_model, rows, 1,
-                              dtypeBytes(x.dtype())); // wgrad
-    s += gemmStats(rows, d_model, 3 * d_model, 1,
-                   dtypeBytes(x.dtype())); // dgrad
-    KernelStats bias_s = elementwiseStats(dqkv.numel(), 1, 0, 1,
-                                          dtypeBytes(x.dtype()));
-    bias_s.bytesWritten +=
-        dbq.storageBytes() + dbk.storageBytes() + dbv.storageBytes();
-    s += bias_s;
-    // Concat copies (dqkv gather + wqkv build + dwqkv scatter).
-    s.bytesRead += dqkv.storageBytes() + wqkv.storageBytes() +
-                   dwqkv.storageBytes();
-    s.bytesWritten += dqkv.storageBytes() + wqkv.storageBytes() +
-                      dwqkv.storageBytes();
     return s;
 }
 

@@ -25,11 +25,6 @@ std::atomic<int> g_gemm_override{-1};
 
 std::atomic<bool> g_warned_bad_gemm_env{false};
 
-// Fusion mode override: -1 none, otherwise a FusionMode enumerator.
-std::atomic<int> g_fusion_override{-1};
-
-std::atomic<bool> g_warned_bad_fusion_env{false};
-
 int
 threadsFromEnvironment()
 {
@@ -105,40 +100,7 @@ fusionModeName(FusionMode mode)
 FusionMode
 configuredFusionMode()
 {
-    const int override_mode =
-        g_fusion_override.load(std::memory_order_acquire);
-    if (override_mode >= 0)
-        return static_cast<FusionMode>(override_mode);
-    const char *env = std::getenv("BERTPROF_FUSION");
-    if (env && *env) {
-        if (std::strcmp(env, "on") == 0)
-            return FusionMode::On;
-        if (std::strcmp(env, "off") == 0)
-            return FusionMode::Off;
-        if (!g_warned_bad_fusion_env.exchange(true))
-            BP_LOG(Warn) << "ignoring invalid BERTPROF_FUSION=\"" << env
-                         << "\" (want \"on\" or \"off\")";
-    }
-    return FusionMode::Off;
-}
-
-bool
-fusionEnabled()
-{
-    return configuredFusionMode() == FusionMode::On;
-}
-
-void
-setFusionMode(FusionMode mode)
-{
-    g_fusion_override.store(static_cast<int>(mode),
-                            std::memory_order_release);
-}
-
-void
-clearFusionModeOverride()
-{
-    g_fusion_override.store(-1, std::memory_order_release);
+    return FusionMode::On;
 }
 
 } // namespace bertprof

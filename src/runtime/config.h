@@ -13,10 +13,9 @@
  * ("packed" or "reference") > the packed default. "reference"
  * selects the original blocked triple-loop kernel bit-for-bit.
  *
- * Fusion resolution order is the same shape: programmatic override
- * (setFusionMode) > BERTPROF_FUSION environment variable ("on" or
- * "off") > Off. Off keeps the original per-op kernel schedule as the
- * oracle; On runs the eager fused kernels.
+ * The kernel schedule is not configurable: it follows the module's
+ * mode (DESIGN.md §13). Eval runs the fused kernels, training runs
+ * the per-op chain.
  */
 
 #ifndef BERTPROF_RUNTIME_CONFIG_H
@@ -64,35 +63,24 @@ void setGemmImpl(GemmImpl impl);
  * environment. */
 void clearGemmImplOverride();
 
-/** Whether the fused kernels are in effect. */
+/**
+ * The eval schedule's name, kept only because perfbench's knob line
+ * prints it (perfbench sits under the benchmark's frozen paths).
+ * There is no fusion knob: eval always runs the fused kernels and
+ * training always runs the per-op chain, so this is a constant.
+ */
 enum class FusionMode {
-    /** Per-op kernel schedule, exactly the pre-fusion code path — the
-     * parity oracle. The default. */
     Off,
     /** Fused kernels (bias+GeLU, residual+LN, one-pass attention,
-     * packed QKV). */
+     * packed QKV) — the eval schedule. */
     On,
 };
 
 /** Short name: "off" / "on". */
 const char *fusionModeName(FusionMode mode);
 
-/**
- * The fusion mode in effect: an explicit setFusionMode() override
- * wins, then BERTPROF_FUSION ("on" | "off"), then Off.
- */
+/** Always FusionMode::On, the eval schedule; see FusionMode. */
 FusionMode configuredFusionMode();
-
-/** True when configuredFusionMode() == FusionMode::On. */
-bool fusionEnabled();
-
-/** Override the fusion mode programmatically (tests and benches
- * sweep both). Cleared by clearFusionModeOverride(). */
-void setFusionMode(FusionMode mode);
-
-/** Drop the programmatic override and re-resolve from the
- * environment. */
-void clearFusionModeOverride();
 
 } // namespace bertprof
 

@@ -1,8 +1,9 @@
 /**
  * Cross-validation between the two halves of the library: the CPU
  * substrate's *measured* kernel accounting must agree with the trace
- * builder's *emitted* accounting for the same configuration. GEMM
- * FLOPs use identical formulas on both sides, so they must match
+ * builder's *emitted* accounting for the same configuration. Training
+ * runs the unfused per-op chain, the decomposition the builder emits.
+ * GEMM FLOPs use identical formulas on both sides, so they must match
  * exactly; kernel counts match structurally per taxonomy group.
  */
 
@@ -13,7 +14,6 @@
 #include "data/synthetic.h"
 #include "nn/bert_pretrainer.h"
 #include "optim/lamb.h"
-#include "runtime/config.h"
 #include "test_helpers.h"
 #include "trace/bert_trace_builder.h"
 
@@ -25,13 +25,6 @@ using testing::tinyBertConfig;
 struct CrossValidation : public ::testing::Test {
     BertConfig config_ = tinyBertConfig();
     Profiler profiler_;
-
-    // The trace builder emits the *unfused* op decomposition, so the
-    // substrate must run the unfused oracle path regardless of any
-    // ambient BERTPROF_FUSION setting (the fused kernels merge GEMMs
-    // and change the per-kernel taxonomy by design).
-    void SetUp() override { setFusionMode(FusionMode::Off); }
-    void TearDown() override { clearFusionModeOverride(); }
 
     void
     runSubstrateIteration()

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "eval_oracle.h"
+#include "nn/attention.h"
 #include "nn/bert_classifier.h"
 #include "nn/bert_pretrainer.h"
 #include "runtime/config.h"
@@ -20,6 +22,8 @@ namespace bertprof {
 namespace {
 
 using ::bertprof::testing::tinyBertConfig;
+using ::bertprof::testing::trainingClassifierLogits;
+using ::bertprof::testing::trainingHidden;
 
 bool
 bitwiseEqual(const Tensor &a, const Tensor &b)
@@ -96,22 +100,90 @@ TEST(EvalMode, EvalForwardLeavesRngStreamUntouched)
     EXPECT_EQ(before, rt.rng.serialize());
 }
 
+/** Exposes the attention's Linear children to the retention check. */
+struct AttentionProbe : MultiHeadAttention {
+    using MultiHeadAttention::MultiHeadAttention;
+
+    std::vector<Linear *>
+    projections()
+    {
+        std::vector<Module *> children;
+        collectChildren(children);
+        std::vector<Linear *> out;
+        for (Module *m : children)
+            out.push_back(dynamic_cast<Linear *>(m));
+        return out;
+    }
+};
+
+TEST(EvalMode, EvalForwardAfterTrainingReleasesProjectionInputs)
+{
+    // The eval schedule's packed QKV GEMM reads Wq/Wk/Wv directly, so
+    // it must drop what the last training forward saved in those
+    // Linears as well as in Wo: a train-then-serve process holds no
+    // [B*n, d] activation per projection.
+    NnRuntime rt;
+    AttentionProbe attn("attn", 32, 4, &rt);
+    Rng init(19);
+    attn.initialize(init);
+    Tensor x(Shape({2 * 8, 32}));
+    x.fillNormal(init);
+    Tensor mask(Shape({8, 8}));
+
+    (void)attn.forward(x, mask, 2, 8);
+    const std::vector<Linear *> linears = attn.projections();
+    ASSERT_EQ(linears.size(), 4u);
+    for (const Linear *l : linears) {
+        ASSERT_NE(l, nullptr);
+        EXPECT_TRUE(l->hasSavedInput());
+    }
+    attn.setTraining(false);
+    (void)attn.forward(x, mask, 2, 8);
+    for (Linear *l : linears)
+        EXPECT_FALSE(l->hasSavedInput()) << l->weight().name;
+}
+
 TEST(EvalMode, EvalMatchesTrainingForwardWithZeroDropout)
 {
+    // The whole-model check of the fused eval schedule: a training
+    // forward at dropout 0 runs the unfused per-op chain, which
+    // computes the same function. Swept over thread counts, the dense
+    // and the ragged per-sequence [B, n, n] mask, and both the encoder
+    // output and the classifier logits. Bitwise at this size, although
+    // ops/fused.h promises the fused attention only a tolerance.
     const BertConfig config = tinyBertConfig();
     NnRuntime rt;
     rt.dropoutP = 0.0f;
-    BertModel model(config, &rt);
+    BertClassifier clf(config, &rt);
     Rng init(13);
-    model.initialize(init);
+    clf.initialize(init);
+    clf.setTraining(false);
+    BertModel &model = clf.model();
 
     std::vector<std::int64_t> tokens, segments;
     makeIds(config, tokens, segments, 23);
-    Tensor trained = model.forward(tokens, segments);
-    model.setTraining(false);
-    Tensor evaled = model.forwardEval(tokens, segments, config.batch,
-                                      config.seqLen, {});
-    EXPECT_TRUE(bitwiseEqual(trained, evaled));
+    const std::vector<std::int64_t> dense;
+    const std::vector<std::int64_t> ragged = {config.seqLen, 5};
+    for (int threads : {1, 8}) {
+        setNumThreads(threads);
+        for (const auto *lengths : {&dense, &ragged}) {
+            const char *mask = lengths->empty() ? "dense" : "ragged";
+            const Tensor trained =
+                trainingHidden(model, tokens, segments, *lengths);
+            const Tensor evaled = model.forwardEval(
+                tokens, segments, config.batch, config.seqLen, *lengths);
+            EXPECT_TRUE(bitwiseEqual(trained, evaled))
+                << mask << " mask at " << threads << " threads";
+
+            const Tensor logits_ref =
+                trainingClassifierLogits(clf, tokens, segments, *lengths);
+            const Tensor logits = clf.forwardLogitsEval(
+                tokens, segments, config.batch, config.seqLen, *lengths);
+            EXPECT_TRUE(bitwiseEqual(logits_ref, logits))
+                << mask << " mask at " << threads << " threads";
+        }
+    }
+    setNumThreads(0); // back to the environment default
 }
 
 TEST(EvalMode, EvalForwardIsThreadCountInvariant)

@@ -1,10 +1,12 @@
 /**
- * Fused-kernel parity suite (ISSUE 8 satellite): every fused kernel
- * against its unfused oracle chain at 1 and 8 threads, training
- * forward/backward parity through EncoderLayer, eval logits parity
- * through BertClassifier, and serve end-to-end parity. The parity
- * class per kernel (bitwise versus tolerance) is the contract
- * documented in ops/fused.h.
+ * Fused-kernel parity suite: every fused kernel against its unfused
+ * oracle chain at 1 and 8 threads; the eval forward (the fused
+ * schedule) against a training-mode forward at dropout 0 (the unfused
+ * chain) through EncoderLayer, BertClassifier and BertPretrainer; a
+ * training step after an eval forward against one without it; and
+ * served replies against a direct eval forward of the same request.
+ * The parity class per kernel (bitwise versus tolerance) is the
+ * contract documented in ops/fused.h.
  */
 
 #include <cmath>
@@ -15,7 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
-#include "nn/bert_pretrainer.h"
+#include "eval_oracle.h"
 #include "nn/encoder_layer.h"
 #include "ops/activation.h"
 #include "ops/elementwise.h"
@@ -33,6 +35,8 @@ namespace bertprof {
 namespace {
 
 using ::bertprof::testing::tinyBertConfig;
+using ::bertprof::testing::trainingClassifierLogits;
+using ::bertprof::testing::trainingMlmLogits;
 
 constexpr std::int64_t kPadId = 3;
 
@@ -40,7 +44,6 @@ constexpr std::int64_t kPadId = 3;
 struct KnobGuard {
     ~KnobGuard()
     {
-        clearFusionModeOverride();
         clearGemmImplOverride();
         setNumThreads(0);
     }
@@ -76,12 +79,6 @@ TEST(FusedKernels, BiasGeluBitwiseMatchesUnfused)
         Tensor out(in.shape());
         fusedBiasGeluForward(in, bias, out);
         EXPECT_TRUE(bitwiseEqual(out, out_ref)) << threads << " threads";
-
-        Tensor pre(in.shape());
-        Tensor out2(in.shape());
-        fusedBiasGeluForwardWithPre(in, bias, pre, out2);
-        EXPECT_TRUE(bitwiseEqual(pre, pre_ref)) << threads << " threads";
-        EXPECT_TRUE(bitwiseEqual(out2, out_ref)) << threads << " threads";
     }
 }
 
@@ -115,13 +112,6 @@ TEST(FusedKernels, ResidualLayerNormBitwiseMatchesUnfused)
         EXPECT_TRUE(bitwiseEqual(out, out_ref)) << threads << " threads";
         EXPECT_TRUE(bitwiseEqual(mean, mean_ref));
         EXPECT_TRUE(bitwiseEqual(rstd, rstd_ref));
-
-        Tensor sum(a.shape());
-        Tensor out2(a.shape());
-        fusedResidualLayerNormForwardWithSum(a, b, gamma, beta, sum, out2,
-                                             mean, rstd);
-        EXPECT_TRUE(bitwiseEqual(sum, sum_ref)) << threads << " threads";
-        EXPECT_TRUE(bitwiseEqual(out2, out_ref));
     }
 }
 
@@ -143,10 +133,8 @@ TEST(FusedKernels, BiasGeluOddWidthBitwise)
         biasForward(in, bias, pre_ref);
         geluForward(pre_ref, out_ref);
 
-        Tensor pre(in.shape());
         Tensor out(in.shape());
-        fusedBiasGeluForwardWithPre(in, bias, pre, out);
-        EXPECT_TRUE(bitwiseEqual(pre, pre_ref)) << threads << " threads";
+        fusedBiasGeluForward(in, bias, out);
         EXPECT_TRUE(bitwiseEqual(out, out_ref)) << threads << " threads";
     }
 }
@@ -226,61 +214,6 @@ TEST(FusedKernels, QkvForwardBitwiseMatchesUnfusedOnBothEngines)
             EXPECT_TRUE(bitwiseEqual(v3d, ref[2]))
                 << gemmImplName(impl) << " " << threads << " threads";
         }
-    }
-}
-
-TEST(FusedKernels, QkvBackwardWgradBitwiseDgradClose)
-{
-    KnobGuard guard;
-    const std::int64_t rows = 24, d_model = 32;
-    Rng rng(14);
-    Tensor x(Shape({rows, d_model}));
-    x.fillNormal(rng);
-    Tensor d[3] = {Tensor(Shape({rows, d_model})),
-                   Tensor(Shape({rows, d_model})),
-                   Tensor(Shape({rows, d_model}))};
-    Tensor w[3] = {Tensor(Shape({d_model, d_model})),
-                   Tensor(Shape({d_model, d_model})),
-                   Tensor(Shape({d_model, d_model}))};
-    for (int i = 0; i < 3; ++i) {
-        d[i].fillNormal(rng);
-        w[i].fillNormal(rng);
-    }
-
-    for (int threads : kThreadSweep) {
-        setNumThreads(threads);
-        // Oracle: exactly what three Linear::backward calls run.
-        Tensor dw_ref[3], db_ref[3];
-        Tensor dx_ref(x.shape());
-        dx_ref.fill(0.0f);
-        for (int i = 0; i < 3; ++i) {
-            dw_ref[i] = Tensor(Shape({d_model, d_model}));
-            db_ref[i] = Tensor(Shape({d_model}));
-            gemm(d[i], x, dw_ref[i], true, false);
-            biasBackward(d[i], db_ref[i]);
-            Tensor dxi(x.shape());
-            gemm(d[i], w[i], dxi, false, false);
-            accumulate(dx_ref, dxi);
-        }
-
-        Tensor dw[3] = {Tensor(Shape({d_model, d_model})),
-                        Tensor(Shape({d_model, d_model})),
-                        Tensor(Shape({d_model, d_model}))};
-        Tensor db[3] = {Tensor(Shape({d_model})), Tensor(Shape({d_model})),
-                        Tensor(Shape({d_model}))};
-        Tensor dx(x.shape());
-        fusedQkvBackward(d[0], d[1], d[2], x, w[0], w[1], w[2], dw[0],
-                         dw[1], dw[2], db[0], db[1], db[2], dx);
-
-        for (int i = 0; i < 3; ++i) {
-            EXPECT_TRUE(bitwiseEqual(dw[i], dw_ref[i]))
-                << "proj " << i << " at " << threads << " threads";
-            EXPECT_TRUE(bitwiseEqual(db[i], db_ref[i]))
-                << "proj " << i << " at " << threads << " threads";
-        }
-        // dx: one k=3H GEMM versus three k=H GEMMs + adds — same
-        // value, different association.
-        EXPECT_LT(maxAbsDiff(dx, dx_ref), 1e-4) << threads << " threads";
     }
 }
 
@@ -432,80 +365,51 @@ TEST(FusedKernels, AttentionEvalThreadInvariantBitwise)
     EXPECT_TRUE(bitwiseEqual(ctx8, ctx1));
 }
 
-/** Two identically-seeded encoder layers, one forward each. */
-struct LayerPair {
-    NnRuntime rt_a, rt_b;
-    EncoderLayer a, b;
+/**
+ * One encoder layer and its two schedules: oracle() is a training-mode
+ * forward at dropout 0 (the unfused chain), fused() the eval forward.
+ */
+struct LayerSchedules {
+    NnRuntime rt;
+    EncoderLayer layer;
 
-    LayerPair()
-        : a("enc", 32, 4, 64, &rt_a), b("enc", 32, 4, 64, &rt_b)
+    LayerSchedules() : layer("enc", 32, 4, 64, &rt)
     {
-        Rng init_a(7), init_b(7);
-        a.initialize(init_a);
-        b.initialize(init_b);
-        rt_a.dropoutP = 0.1f;
-        rt_b.dropoutP = 0.1f;
+        Rng init(7);
+        layer.initialize(init);
+        rt.dropoutP = 0.0f;
+    }
+
+    Tensor
+    oracle(const Tensor &x, const Tensor &mask, std::int64_t batch,
+           std::int64_t seq)
+    {
+        layer.setTraining(true);
+        return layer.forward(x, mask, batch, seq);
+    }
+
+    Tensor
+    fused(const Tensor &x, const Tensor &mask, std::int64_t batch,
+          std::int64_t seq)
+    {
+        layer.setTraining(false);
+        return layer.forward(x, mask, batch, seq);
     }
 };
-
-TEST(FusionTraining, ForwardBitwiseAndGradsMatchUnfused)
-{
-    KnobGuard guard;
-    for (int threads : kThreadSweep) {
-        setNumThreads(threads);
-        LayerPair pair;
-        Rng data(21);
-        Tensor x(Shape({2 * 16, 32}));
-        x.fillNormal(data);
-        Tensor mask(Shape({16, 16}));
-
-        setFusionMode(FusionMode::Off);
-        Tensor y_ref = pair.a.forward(x, mask, 2, 16);
-        setFusionMode(FusionMode::On);
-        Tensor y = pair.b.forward(x, mask, 2, 16);
-        // Same dropout RNG stream, all forward fused kernels bitwise.
-        EXPECT_TRUE(bitwiseEqual(y, y_ref)) << threads << " threads";
-
-        Tensor dout(y.shape());
-        Rng grad_rng(22);
-        dout.fillNormal(grad_rng);
-        pair.a.zeroGrad();
-        pair.b.zeroGrad();
-        setFusionMode(FusionMode::Off);
-        Tensor dx_ref = pair.a.backward(dout);
-        setFusionMode(FusionMode::On);
-        Tensor dx = pair.b.backward(dout);
-
-        // All parameter grads are bitwise (fused QKV wgrad/bias share
-        // the oracle's accumulation order); dx crosses the fused QKV
-        // dgrad, which reassociates k, so it is tolerance-only.
-        std::vector<Parameter *> pa = pair.a.parameters();
-        std::vector<Parameter *> pb = pair.b.parameters();
-        ASSERT_EQ(pa.size(), pb.size());
-        for (std::size_t i = 0; i < pa.size(); ++i)
-            EXPECT_TRUE(bitwiseEqual(pb[i]->grad, pa[i]->grad))
-                << pa[i]->name << " at " << threads << " threads";
-        EXPECT_LT(maxAbsDiff(dx, dx_ref), 1e-4) << threads << " threads";
-    }
-}
 
 TEST(FusionEval, EncoderLayerFusedCloseToUnfused)
 {
     KnobGuard guard;
     for (int threads : kThreadSweep) {
         setNumThreads(threads);
-        LayerPair pair;
-        pair.a.setTraining(false);
-        pair.b.setTraining(false);
+        LayerSchedules layer;
         Rng data(23);
         Tensor x(Shape({2 * 16, 32}));
         x.fillNormal(data);
         Tensor mask(Shape({16, 16}));
 
-        setFusionMode(FusionMode::Off);
-        Tensor y_ref = pair.a.forward(x, mask, 2, 16);
-        setFusionMode(FusionMode::On);
-        Tensor y = pair.b.forward(x, mask, 2, 16);
+        Tensor y_ref = layer.oracle(x, mask, 2, 16);
+        Tensor y = layer.fused(x, mask, 2, 16);
         // Fused attention reassociates the score/context dots.
         EXPECT_LT(maxAbsDiff(y, y_ref), 1e-4) << threads << " threads";
     }
@@ -516,9 +420,7 @@ TEST(FusionEval, EncoderLayerPerSequenceMaskCloseToUnfused)
     KnobGuard guard;
     for (int threads : kThreadSweep) {
         setNumThreads(threads);
-        LayerPair pair;
-        pair.a.setTraining(false);
-        pair.b.setTraining(false);
+        LayerSchedules layer;
         Rng data(24);
         Tensor x(Shape({2 * 16, 32}));
         x.fillNormal(data);
@@ -526,10 +428,8 @@ TEST(FusionEval, EncoderLayerPerSequenceMaskCloseToUnfused)
         for (std::int64_t i = 0; i < mask.numel(); ++i)
             mask.at(i) = (i % 7 == 0) ? -1e9f : 0.0f;
 
-        setFusionMode(FusionMode::Off);
-        Tensor y_ref = pair.a.forward(x, mask, 2, 16);
-        setFusionMode(FusionMode::On);
-        Tensor y = pair.b.forward(x, mask, 2, 16);
+        Tensor y_ref = layer.oracle(x, mask, 2, 16);
+        Tensor y = layer.fused(x, mask, 2, 16);
         EXPECT_LT(maxAbsDiff(y, y_ref), 1e-4) << threads << " threads";
     }
 }
@@ -541,9 +441,7 @@ TEST(FusionEval, EncoderLayerShapeChangesCarryNoState)
     // repeated shape reproduces its first output bitwise.
     KnobGuard guard;
     setNumThreads(8);
-    LayerPair pair;
-    pair.a.setTraining(false);
-    pair.b.setTraining(false);
+    LayerSchedules layer;
     const std::int64_t shapes[][2] = {{2, 16}, {1, 5}, {3, 9}, {2, 16}};
     Tensor first;
     for (const auto &bs : shapes) {
@@ -553,10 +451,8 @@ TEST(FusionEval, EncoderLayerShapeChangesCarryNoState)
         x.fillNormal(data);
         Tensor mask(Shape({seq, seq}));
 
-        setFusionMode(FusionMode::Off);
-        Tensor y_ref = pair.a.forward(x, mask, batch, seq);
-        setFusionMode(FusionMode::On);
-        Tensor y = pair.b.forward(x, mask, batch, seq);
+        Tensor y_ref = layer.oracle(x, mask, batch, seq);
+        Tensor y = layer.fused(x, mask, batch, seq);
         EXPECT_LT(maxAbsDiff(y, y_ref), 1e-4)
             << "batch " << batch << " seq " << seq;
         if (first.numel() == 0) {
@@ -567,19 +463,93 @@ TEST(FusionEval, EncoderLayerShapeChangesCarryNoState)
     }
 }
 
-/** Eval logits of a tiny classifier over a fixed batch. */
-Tensor
-classifierLogits(BertClassifier &clf, const BertConfig &config)
+TEST(FusionEval, EncoderLayerReadsLiveWeights)
 {
-    const std::int64_t batch = 2, seq = 16;
-    std::vector<std::int64_t> tokens, segments;
-    Rng rng(31);
-    for (std::int64_t i = 0; i < batch * seq; ++i) {
-        tokens.push_back(rng.uniformInt(0, config.vocabSize - 1));
-        segments.push_back(i % 2);
+    // The eval schedule packs [Wq; Wk; Wv] on every call, so a weight
+    // update between two eval forwards (an optimizer step) shows in
+    // the second one, which still matches the training-mode oracle.
+    KnobGuard guard;
+    setNumThreads(8);
+    LayerSchedules layer;
+    Rng data(25);
+    Tensor x(Shape({2 * 16, 32}));
+    x.fillNormal(data);
+    Tensor mask(Shape({16, 16}));
+
+    const Tensor before = layer.fused(x, mask, 2, 16);
+    Rng step(26);
+    for (Parameter *p : layer.layer.parameters()) {
+        Tensor delta(p->value.shape());
+        delta.fillNormal(step, 0.0f, 0.05f);
+        accumulate(p->value, delta);
     }
-    const std::vector<std::int64_t> lengths = {seq, seq - 3};
-    return clf.forwardLogitsEval(tokens, segments, batch, seq, lengths);
+    const Tensor after = layer.fused(x, mask, 2, 16);
+    EXPECT_GT(maxAbsDiff(after, before), 1e-3);
+    EXPECT_LT(maxAbsDiff(after, layer.oracle(x, mask, 2, 16)), 1e-4);
+}
+
+TEST(FusionTraining, EvalForwardLeavesLayerTrainingStepUnchanged)
+{
+    // Both schedules run on the same modules and runtime: an eval
+    // forward first must leave nothing (saved activations, dropout RNG
+    // draws) that changes the next training forward or its gradients.
+    KnobGuard guard;
+    for (int threads : kThreadSweep) {
+        setNumThreads(threads);
+        NnRuntime rt_a, rt_b;
+        rt_a.dropoutP = 0.1f;
+        rt_b.dropoutP = 0.1f;
+        EncoderLayer a("enc", 32, 4, 64, &rt_a);
+        EncoderLayer b("enc", 32, 4, 64, &rt_b);
+        Rng init_a(7), init_b(7);
+        a.initialize(init_a);
+        b.initialize(init_b);
+        Rng data(21);
+        Tensor x(Shape({2 * 16, 32}));
+        x.fillNormal(data);
+        Tensor mask(Shape({16, 16}));
+        Tensor dout(x.shape());
+        Rng grad_rng(22);
+        dout.fillNormal(grad_rng);
+
+        b.setTraining(false);
+        b.forward(x, mask, 2, 16);
+        b.setTraining(true);
+
+        a.zeroGrad();
+        b.zeroGrad();
+        const Tensor y_a = a.forward(x, mask, 2, 16);
+        const Tensor y_b = b.forward(x, mask, 2, 16);
+        EXPECT_TRUE(bitwiseEqual(y_b, y_a)) << threads << " threads";
+        const Tensor dx_a = a.backward(dout);
+        const Tensor dx_b = b.backward(dout);
+        EXPECT_TRUE(bitwiseEqual(dx_b, dx_a)) << threads << " threads";
+        const std::vector<Parameter *> pa = a.parameters();
+        const std::vector<Parameter *> pb = b.parameters();
+        ASSERT_EQ(pa.size(), pb.size());
+        for (std::size_t i = 0; i < pa.size(); ++i)
+            EXPECT_TRUE(bitwiseEqual(pb[i]->grad, pa[i]->grad))
+                << pa[i]->name << " at " << threads << " threads";
+    }
+}
+
+/** A fixed padded batch at the tiny config's shape. */
+struct EvalInputs {
+    std::vector<std::int64_t> tokens, segments, lengths;
+};
+
+EvalInputs
+evalInputs(const BertConfig &config, std::uint64_t seed,
+           std::int64_t short_len)
+{
+    EvalInputs in;
+    Rng rng(seed);
+    for (std::int64_t i = 0; i < config.tokens(); ++i) {
+        in.tokens.push_back(rng.uniformInt(0, config.vocabSize - 1));
+        in.segments.push_back(i % 2);
+    }
+    in.lengths = {config.seqLen, short_len};
+    return in;
 }
 
 TEST(FusionEval, ClassifierLogitsCloseAndThreadInvariant)
@@ -587,43 +557,31 @@ TEST(FusionEval, ClassifierLogitsCloseAndThreadInvariant)
     KnobGuard guard;
     const BertConfig config = tinyBertConfig();
     NnRuntime rt;
+    rt.dropoutP = 0.0f;
     BertClassifier clf(config, &rt);
     Rng init(32);
     clf.initialize(init);
     clf.setTraining(false);
+    const EvalInputs in = evalInputs(config, 31, config.seqLen - 3);
+    auto fused = [&]() {
+        return clf.forwardLogitsEval(in.tokens, in.segments, config.batch,
+                                     config.seqLen, in.lengths);
+    };
 
     setNumThreads(1);
-    setFusionMode(FusionMode::Off);
-    Tensor ref = classifierLogits(clf, config);
-    setFusionMode(FusionMode::On);
-    Tensor fused1 = classifierLogits(clf, config);
+    Tensor ref =
+        trainingClassifierLogits(clf, in.tokens, in.segments, in.lengths);
+    Tensor fused1 = fused();
     EXPECT_LT(maxAbsDiff(fused1, ref), 1e-4);
 
-    // Fused eval is bitwise thread-count invariant (deterministic
+    // Both schedules are bitwise thread-count invariant (deterministic
     // parallelFor chunking), like every other kernel in the repo.
     setNumThreads(8);
-    Tensor fused8 = classifierLogits(clf, config);
+    Tensor fused8 = fused();
     EXPECT_TRUE(bitwiseEqual(fused8, fused1));
-    setFusionMode(FusionMode::Off);
-    Tensor ref8 = classifierLogits(clf, config);
+    Tensor ref8 =
+        trainingClassifierLogits(clf, in.tokens, in.segments, in.lengths);
     EXPECT_TRUE(bitwiseEqual(ref8, ref));
-}
-
-/** Eval MLM logits of a tiny pretrainer over a padded batch. */
-Tensor
-mlmLogits(BertPretrainer &model, const BertConfig &config)
-{
-    const std::int64_t batch = 2, seq = 16;
-    std::vector<std::int64_t> tokens, segments;
-    Rng rng(33);
-    for (std::int64_t i = 0; i < batch * seq; ++i) {
-        tokens.push_back(rng.uniformInt(0, config.vocabSize - 1));
-        segments.push_back(i % 2);
-    }
-    const std::vector<std::int64_t> lengths = {seq, seq - 5};
-    const std::vector<std::int64_t> positions = {0, 7, seq + 2, seq + 9};
-    return model.mlmLogitsEval(tokens, segments, batch, seq, lengths,
-                               positions);
 }
 
 TEST(FusionEval, MlmLogitsCloseAndThreadInvariant)
@@ -631,28 +589,34 @@ TEST(FusionEval, MlmLogitsCloseAndThreadInvariant)
     KnobGuard guard;
     const BertConfig config = tinyBertConfig();
     NnRuntime rt;
+    rt.dropoutP = 0.0f;
     BertPretrainer model(config, &rt);
     Rng init(34);
     model.initialize(init);
     model.setTraining(false);
+    const EvalInputs in = evalInputs(config, 33, config.seqLen - 5);
+    const std::int64_t seq = config.seqLen;
+    const std::vector<std::int64_t> positions = {0, 7, seq + 2, seq + 9};
 
     setNumThreads(1);
-    setFusionMode(FusionMode::Off);
-    Tensor ref = mlmLogits(model, config);
-    setFusionMode(FusionMode::On);
-    Tensor fused1 = mlmLogits(model, config);
+    Tensor ref = trainingMlmLogits(model, in.tokens, in.segments,
+                                   in.lengths, positions);
+    Tensor fused1 = model.mlmLogitsEval(in.tokens, in.segments,
+                                        config.batch, seq, in.lengths,
+                                        positions);
     EXPECT_LT(maxAbsDiff(fused1, ref), 1e-4);
 
     setNumThreads(8);
-    Tensor fused8 = mlmLogits(model, config);
+    Tensor fused8 = model.mlmLogitsEval(in.tokens, in.segments,
+                                        config.batch, seq, in.lengths,
+                                        positions);
     EXPECT_TRUE(bitwiseEqual(fused8, fused1));
 }
 
-TEST(FusionTraining, PretrainerLossAndGradsCloseToUnfused)
+TEST(FusionTraining, EvalForwardLeavesPretrainerStepUnchanged)
 {
-    // The whole model, embeddings to both heads, in training mode:
-    // the fused forward is bitwise, so the losses match exactly; the
-    // grads cross the fused QKV dgrad and match to tolerance.
+    // The whole model, embeddings to both heads: a pretraining step
+    // after an eval MLM forward is bitwise the step without it.
     KnobGuard guard;
     const BertConfig config = tinyBertConfig();
     NnRuntime rt_a, rt_b;
@@ -665,26 +629,41 @@ TEST(FusionTraining, PretrainerLossAndGradsCloseToUnfused)
     SyntheticDataset dataset(config, 36);
     const PretrainBatch batch = dataset.nextBatch();
 
+    const EvalInputs in = evalInputs(config, 37, config.seqLen - 5);
+    b.setTraining(false);
+    b.mlmLogitsEval(in.tokens, in.segments, config.batch, config.seqLen,
+                    in.lengths, {0, 7, config.seqLen + 2});
+    b.setTraining(true);
+
     a.zeroGrad();
     b.zeroGrad();
-    setFusionMode(FusionMode::Off);
     const PretrainStepResult ref = a.forwardBackward(batch);
-    setFusionMode(FusionMode::On);
-    const PretrainStepResult fused = b.forwardBackward(batch);
-    EXPECT_EQ(fused.mlmLoss, ref.mlmLoss);
-    EXPECT_EQ(fused.nspLoss, ref.nspLoss);
+    const PretrainStepResult after_eval = b.forwardBackward(batch);
+    EXPECT_EQ(after_eval.mlmLoss, ref.mlmLoss);
+    EXPECT_EQ(after_eval.nspLoss, ref.nspLoss);
 
     std::vector<Parameter *> pa, pb;
     a.collectParameters(pa);
     b.collectParameters(pb);
     ASSERT_EQ(pa.size(), pb.size());
     for (std::size_t i = 0; i < pa.size(); ++i)
-        EXPECT_LT(maxAbsDiff(pb[i]->grad, pa[i]->grad), 1e-4)
-            << pa[i]->name;
+        EXPECT_TRUE(bitwiseEqual(pb[i]->grad, pa[i]->grad)) << pa[i]->name;
+}
+
+/** Bitwise equality of a reply's logits and a [1 or p, cols] tensor. */
+bool
+sameLogits(const std::vector<float> &reply, const Tensor &direct)
+{
+    return static_cast<std::int64_t>(reply.size()) == direct.numel() &&
+           std::memcmp(reply.data(), direct.data(),
+                       reply.size() * sizeof(float)) == 0;
 }
 
 TEST(FusionServe, EndToEndLogitsParity)
 {
+    // Each served reply (a bucketed, padded, batched eval forward)
+    // against a direct eval forward of the same request alone and
+    // unpadded: bitwise, by DESIGN.md §11.2's padding argument.
     KnobGuard guard;
     const BertConfig config = tinyBertConfig();
     NnRuntime rt;
@@ -694,39 +673,31 @@ TEST(FusionServe, EndToEndLogitsParity)
     clf.setTraining(false);
     ClassifierEngine engine(clf, kPadId);
 
-    const BucketSpec buckets({8, 16, 32});
+    Rng body(42);
+    std::vector<InferRequest> requests;
+    std::vector<Tensor> direct;
+    for (std::uint64_t id = 0; id < 10; ++id) {
+        const std::int64_t len = 4 + static_cast<std::int64_t>(id);
+        requests.push_back(
+            syntheticRequest(body, id, len, config.vocabSize));
+        // Before the server starts: the eval forward is not reentrant.
+        direct.push_back(clf.forwardLogitsEval(
+            requests.back().tokenIds, requests.back().segmentIds, 1, len,
+            {}));
+    }
+
     ServeOptions options;
     options.maxBatch = 4;
     options.maxWaitUs = 200;
-
-    auto serve_once = [&](FusionMode mode) {
-        setFusionMode(mode);
-        Rng body(42);
-        std::vector<std::vector<float>> logits;
-        InferenceServer server(engine, buckets, options);
-        std::vector<std::future<InferReply>> futures;
-        for (std::uint64_t id = 0; id < 10; ++id) {
-            InferRequest req = syntheticRequest(
-                body, id, 4 + static_cast<std::int64_t>(id),
-                config.vocabSize);
-            futures.push_back(server.submit(req));
-        }
-        for (auto &f : futures) {
-            InferReply reply = f.get();
-            EXPECT_TRUE(reply.ok);
-            logits.push_back(reply.logits);
-        }
-        return logits;
-    };
-
-    const auto off = serve_once(FusionMode::Off);
-    const auto on = serve_once(FusionMode::On);
-    ASSERT_EQ(off.size(), on.size());
-    for (std::size_t i = 0; i < off.size(); ++i) {
-        ASSERT_EQ(off[i].size(), on[i].size());
-        for (std::size_t j = 0; j < off[i].size(); ++j)
-            EXPECT_NEAR(on[i][j], off[i][j], 1e-4)
-                << "request " << i << " logit " << j;
+    options.defaultDeadlineUs = 60000000;
+    InferenceServer server(engine, BucketSpec({8, 16, 32}), options);
+    std::vector<std::future<InferReply>> futures;
+    for (const InferRequest &req : requests)
+        futures.push_back(server.submit(req));
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        InferReply reply = futures[i].get();
+        ASSERT_TRUE(reply.ok) << "request " << i;
+        EXPECT_TRUE(sameLogits(reply.logits, direct[i])) << "request " << i;
     }
 }
 
@@ -741,41 +712,31 @@ TEST(FusionServe, MlmEndToEndLogitsParity)
     model.setTraining(false);
     MlmEngine engine(model, kPadId);
 
+    Rng body(44);
+    std::vector<InferRequest> requests;
+    std::vector<Tensor> direct;
+    for (std::uint64_t id = 0; id < 6; ++id) {
+        const std::int64_t len = 4 + 2 * static_cast<std::int64_t>(id);
+        InferRequest req = syntheticRequest(body, id, len, config.vocabSize);
+        req.mlmPositions = {0, len - 1};
+        direct.push_back(model.mlmLogitsEval(req.tokenIds, req.segmentIds,
+                                             1, len, {}, req.mlmPositions));
+        requests.push_back(std::move(req));
+    }
+
     ServeOptions options;
     options.maxBatch = 4;
     options.maxWaitUs = 200;
     options.defaultDeadlineUs = 60000000;
-
-    auto serve_once = [&](FusionMode mode) {
-        setFusionMode(mode);
-        Rng body(44);
-        std::vector<std::vector<float>> logits;
-        InferenceServer server(engine, BucketSpec({8, 16, 32}), options);
-        std::vector<std::future<InferReply>> futures;
-        for (std::uint64_t id = 0; id < 6; ++id) {
-            const std::int64_t len = 4 + 2 * static_cast<std::int64_t>(id);
-            InferRequest req =
-                syntheticRequest(body, id, len, config.vocabSize);
-            req.mlmPositions = {0, len - 1};
-            futures.push_back(server.submit(std::move(req)));
-        }
-        for (auto &f : futures) {
-            InferReply reply = f.get();
-            EXPECT_TRUE(reply.ok);
-            EXPECT_EQ(reply.rows, 2);
-            logits.push_back(reply.logits);
-        }
-        return logits;
-    };
-
-    const auto off = serve_once(FusionMode::Off);
-    const auto on = serve_once(FusionMode::On);
-    ASSERT_EQ(off.size(), on.size());
-    for (std::size_t i = 0; i < off.size(); ++i) {
-        ASSERT_EQ(off[i].size(), on[i].size());
-        for (std::size_t j = 0; j < off[i].size(); ++j)
-            EXPECT_NEAR(on[i][j], off[i][j], 1e-4)
-                << "request " << i << " logit " << j;
+    InferenceServer server(engine, BucketSpec({8, 16, 32}), options);
+    std::vector<std::future<InferReply>> futures;
+    for (const InferRequest &req : requests)
+        futures.push_back(server.submit(req));
+    for (std::size_t i = 0; i < futures.size(); ++i) {
+        InferReply reply = futures[i].get();
+        ASSERT_TRUE(reply.ok) << "request " << i;
+        EXPECT_EQ(reply.rows, 2);
+        EXPECT_TRUE(sameLogits(reply.logits, direct[i])) << "request " << i;
     }
 }
 

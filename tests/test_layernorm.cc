@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "nn/layer_norm.h"
+#include "ops/elementwise.h"
 #include "ops/layernorm.h"
 #include "test_helpers.h"
 #include "util/rng.h"
@@ -136,6 +140,31 @@ TEST(LayerNorm, InputGradientSumsToZeroPerRow)
             row += din.at(r, c);
         EXPECT_NEAR(row, 0.0, 1e-4);
     }
+}
+
+TEST(LayerNormModule, FusedResidualMatchesAddThenForwardInEval)
+{
+    // The eval-only residual + LayerNorm is LN(a + b), bitwise: the
+    // fused kernel forms each row's sum exactly as addForward does.
+    NnRuntime rt;
+    LayerNorm ln("ln", 24, &rt);
+    Rng rng(5);
+    ln.gamma().value.fillNormal(rng, 1.0f, 0.2f);
+    ln.beta().value.fillNormal(rng, 0.0f, 0.2f);
+    Tensor a(Shape({7, 24})), b(Shape({7, 24}));
+    a.fillNormal(rng);
+    b.fillNormal(rng);
+    ln.setTraining(false);
+
+    Tensor sum(a.shape());
+    addForward(a, b, sum);
+    const Tensor want = ln.forward(sum);
+    const Tensor got = ln.forwardFusedResidual(a, b);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(want.numel()) *
+                              sizeof(float)),
+              0);
 }
 
 } // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "nn/linear.h"
+#include "ops/elementwise.h"
 #include "test_helpers.h"
 
 namespace bertprof {
@@ -91,6 +94,33 @@ TEST_F(LinearFixture, GradientsAccumulateAcrossBackwardCalls)
     layer.backward(lossGradient(y));
     for (std::int64_t i = 0; i < once.numel(); ++i)
         EXPECT_NEAR(layer.weight().grad.at(i), 2.0f * once.at(i), 1e-4f);
+}
+
+TEST_F(LinearFixture, ForwardIsForwardGemmThenBiasAndBothFeedBackward)
+{
+    // forward() is forwardGemm() plus the bias epilogue, bitwise; both
+    // save the input, so backward() yields the same gradients after
+    // either.
+    auto same = [](const Tensor &a, const Tensor &b) {
+        return a.shape() == b.shape() &&
+               std::memcmp(a.data(), b.data(),
+                           static_cast<std::size_t>(a.numel()) *
+                               sizeof(float)) == 0;
+    };
+    const Tensor y = layer.forward(x);
+    const Tensor dout = lossGradient(y);
+    layer.zeroGrad();
+    const Tensor dx = layer.backward(dout);
+    const Tensor dw = layer.weight().grad.clone();
+    const Tensor db = layer.bias().grad.clone();
+
+    Tensor y_gemm = layer.forwardGemm(x);
+    biasForward(y_gemm, layer.bias().value, y_gemm);
+    EXPECT_TRUE(same(y_gemm, y));
+    layer.zeroGrad();
+    EXPECT_TRUE(same(layer.backward(dout), dx));
+    EXPECT_TRUE(same(layer.weight().grad, dw));
+    EXPECT_TRUE(same(layer.bias().grad, db));
 }
 
 TEST_F(LinearFixture, ParametersExposedWithNames)

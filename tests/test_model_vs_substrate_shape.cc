@@ -64,8 +64,11 @@ measureSubstrate(const BertConfig &config)
     // GEMMs several times faster than scalar while the non-GEMM
     // kernels stay memory-bound, which legitimately shifts the
     // measured breakdown away from what a scalar-ratio model
-    // predicts.
+    // predicts. One lane, too: the scalar model has one compute unit,
+    // and a single-iteration profile spread over the pool reads the
+    // other processes on the host as much as the kernels.
     setGemmImpl(GemmImpl::Reference);
+    setNumThreads(1);
     NnRuntime rt;
     Profiler profiler;
     rt.profiler = &profiler;
@@ -94,6 +97,7 @@ measureSubstrate(const BertConfig &config)
         if (rec.kind == OpKind::Gemm || rec.kind == OpKind::BatchedGemm)
             measured.gemmSeconds += rec.seconds;
     clearGemmImplOverride();
+    setNumThreads(0);
     return measured;
 }
 

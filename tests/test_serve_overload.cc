@@ -116,8 +116,10 @@ TEST(PendingQueueEdf, DefaultMonoTimeSentinelLeadsEverything)
     ASSERT_EQ(unstamped.request.deadline, MonoTime{});
     queue.push(1, std::move(unstamped));
     EXPECT_EQ(queue.leadBucket(), 1);
-    // And dropExpired treats the sentinel as already past.
-    const auto dead = queue.dropExpired(monoNow());
+    // And dropExpired treats the sentinel as already past. A fixed
+    // instant inside the stamped request's 50 us window, not monoNow(),
+    // so a slow host cannot expire that request as well.
+    const auto dead = queue.dropExpired(monoAddMicros(t0, 25));
     ASSERT_EQ(dead.size(), 1u);
     EXPECT_EQ(dead[0].request.id, 2u);
     EXPECT_EQ(queue.size(), 1u);

@@ -289,10 +289,9 @@ sameRow(const InferReply &a, const InferReply &b)
  * and every other op is row-local.
  */
 void
-runPaddingInvariance(int num_threads, FusionMode fusion)
+runPaddingInvariance(int num_threads)
 {
     setNumThreads(num_threads);
-    setFusionMode(fusion);
     const BertConfig config = tinyBertConfig();
     NnRuntime rt;
     BertClassifier clf(config, &rt);
@@ -353,27 +352,16 @@ runPaddingInvariance(int num_threads, FusionMode fusion)
     EXPECT_TRUE(sameRow(solo[0], padded[0]))
         << "padding to a larger bucket changed the probe's logits";
     setNumThreads(0);
-    clearFusionModeOverride();
-}
-
-TEST(PaddingInvariance, BitwiseAtOneThread)
-{
-    runPaddingInvariance(1, FusionMode::Off);
-}
-
-TEST(PaddingInvariance, BitwiseAtEightThreads)
-{
-    runPaddingInvariance(8, FusionMode::Off);
 }
 
 TEST(PaddingInvariance, FusedBitwiseAtOneThread)
 {
-    runPaddingInvariance(1, FusionMode::On);
+    runPaddingInvariance(1);
 }
 
 TEST(PaddingInvariance, FusedBitwiseAtEightThreads)
 {
-    runPaddingInvariance(8, FusionMode::On);
+    runPaddingInvariance(8);
 }
 
 } // namespace
