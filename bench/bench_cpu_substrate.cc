@@ -5,12 +5,17 @@
  * full tiny-BERT training iteration. These are real measured times
  * (the repo's equivalent of the paper's rocProf runs, scaled down to
  * CPU-tractable sizes); every case is one harness configuration and
- * reports the median per-call time with its quartiles.
+ * reports the median per-call time with its quartiles. The GeLU and
+ * softmax kernels also run once per ISA variant the host supports,
+ * called directly on one thread (`<case>.<isa>.ms`), and
+ * `elementwise.variants_bitwise_equal` checks that the variants'
+ * outputs agree bit for bit (exit 1 if not).
  *
  * Usage: bench_cpu_substrate [--quick] [--json <path>]
  *   --quick runs fewer reps for CI smoke runs.
  */
 
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -20,6 +25,7 @@
 #include "core/bertprof.h"
 #include "harness.h"
 #include "ops/activation.h"
+#include "ops/elementwise_dispatch.h"
 #include "ops/gemm.h"
 #include "ops/layernorm.h"
 #include "ops/softmax.h"
@@ -112,6 +118,55 @@ main(int argc, char **argv)
         cases.push_back({"gelu_" + std::to_string(numel),
                          [=] { geluForward(*x, *y); }});
     }
+    {
+        const std::int64_t numel = 1 << 18;
+        Tensor *x = keep(Shape({numel}), true);
+        Tensor *dy = keep(x->shape(), true);
+        Tensor *dx = keep(x->shape(), false);
+        cases.push_back({"gelu_bwd_" + std::to_string(numel),
+                         [=] { geluBackward(*x, *dy, *dx); }});
+    }
+
+    // The element-wise kernels once per ISA variant, on one thread:
+    // the same work as gelu_262144, gelu_bwd_262144 and softmax_1024.
+    const std::int64_t ew_numel = 1 << 18, sm_rows = 1024, sm_cols = 128;
+    Tensor *ew_x = keep(Shape({ew_numel}), true);
+    Tensor *ew_dy = keep(ew_x->shape(), true);
+    Tensor *sm_x = keep(Shape({sm_rows, sm_cols}), true);
+    const auto runVariant = [=](CpuIsa isa, int kernel, Tensor &out) {
+        if (kernel == 0)
+            geluElementsFor(isa, ew_x->data(), nullptr, out.data(), ew_numel);
+        else if (kernel == 1)
+            geluGradElementsFor(isa, ew_x->data(), ew_dy->data(), out.data(),
+                                ew_numel);
+        else
+            for (std::int64_t r = 0; r < sm_rows; ++r)
+                softmaxRowFor(isa, sm_x->data() + r * sm_cols,
+                              out.data() + r * sm_cols, sm_cols);
+    };
+    const char *const kernel_names[] = {"gelu_262144", "gelu_bwd_262144",
+                                        "softmax_1024"};
+    for (const CpuIsa isa : availableCpuIsas())
+        for (int kernel = 0; kernel < 3; ++kernel) {
+            Tensor *out =
+                keep(kernel == 2 ? sm_x->shape() : ew_x->shape(), false);
+            cases.push_back({std::string(kernel_names[kernel]) + "." +
+                                 cpuIsaName(isa),
+                             [=] { runVariant(isa, kernel, *out); }});
+        }
+    bool bitwise = true;
+    for (int kernel = 0; kernel < 3; ++kernel) {
+        Tensor want(kernel == 2 ? sm_x->shape() : ew_x->shape());
+        Tensor got(want.shape());
+        runVariant(CpuIsa::Sse2, kernel, want);
+        for (const CpuIsa isa : availableCpuIsas()) {
+            runVariant(isa, kernel, got);
+            bitwise = bitwise &&
+                      std::memcmp(got.data(), want.data(),
+                                  static_cast<std::size_t>(got.numel()) *
+                                      sizeof(float)) == 0;
+        }
+    }
 
     // Optimizer steps (the real-execution counterpart of Fig. 12a:
     // UnfusedAdam runs one kernel per elementary op).
@@ -169,5 +224,8 @@ main(int argc, char **argv)
             report.rate(cases[i].name + ".gflops", "GFLOP/s",
                         cases[i].flops * 1e-9, stats[i]);
     }
-    return report.emit();
+    report.value("elementwise.variants_bitwise_equal", bitwise ? 1 : 0,
+                  "bool");
+    const int status = report.emit();
+    return bitwise ? status : 1;
 }

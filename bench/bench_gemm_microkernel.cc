@@ -88,7 +88,7 @@ main(int argc, char **argv)
     report.config("seq", static_cast<double>(seq));
     report.config("d_model", static_cast<double>(d_model));
 
-    const std::vector<GemmIsa> isas = availableGemmIsas();
+    const std::vector<CpuIsa> isas = availableCpuIsas();
     bool all_bitwise = true;
     for (const ShapeCase &s : shapes) {
         Rng rng(90210);
@@ -116,7 +116,7 @@ main(int argc, char **argv)
         };
         // One variant, called directly: the serial equivalent of the
         // dispatched gemm()/batchedGemm() at one thread.
-        const auto packed = [&](GemmIsa isa) {
+        const auto packed = [&](CpuIsa isa) {
             const std::int64_t a_step = s.m * s.k, b_step = s.k * s.n,
                                c_step = s.m * s.n;
             for (std::int64_t g = 0; g < s.batch; ++g)
@@ -131,7 +131,7 @@ main(int argc, char **argv)
                              static_cast<double>(s.batch);
         std::vector<bench::Config> configs = {
             {[] { setGemmImpl(GemmImpl::Reference); }, reference}};
-        for (const GemmIsa isa : isas)
+        for (const CpuIsa isa : isas)
             configs.push_back({{}, [&packed, isa] { packed(isa); }});
         const std::vector<bench::Stats> t =
             bench::runRoundRobin(configs, reps);
@@ -140,10 +140,10 @@ main(int argc, char **argv)
         // engine differs by rounding from its association order.
         reference();
         const Tensor c_ref = c.clone();
-        packed(GemmIsa::Sse2);
+        packed(CpuIsa::Sse2);
         const Tensor c_sse2 = c.clone();
         bool bitwise = true;
-        for (const GemmIsa isa : isas) {
+        for (const CpuIsa isa : isas) {
             packed(isa);
             bitwise = bitwise &&
                       std::memcmp(c.data(), c_sse2.data(),
@@ -161,7 +161,7 @@ main(int argc, char **argv)
         report.config(s.name, dims);
         report.rate(s.name + ".ref_gflops", "GFLOP/s", flops * 1e-9, t[0]);
         for (std::size_t v = 0; v < isas.size(); ++v)
-            report.rate(s.name + "." + gemmIsaName(isas[v]) +
+            report.rate(s.name + "." + cpuIsaName(isas[v]) +
                             ".packed_gflops",
                         "GFLOP/s", flops * 1e-9, t[v + 1]);
         // The last variant is the widest, i.e. the dispatched one.

@@ -7,7 +7,7 @@
 #include <fstream>
 #include <thread>
 
-#include "ops/gemm_microkernel.h"
+#include "ops/cpu_isa.h"
 #include "runtime/config.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -136,8 +136,16 @@ pairedRatio(const Stats &num, const Stats &den)
 {
     const std::size_t n = std::min(num.samples.size(), den.samples.size());
     std::vector<double> ratios(n);
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        if (den.samples[i] == 0.0) {
+            Stats undefined;
+            undefined.n = static_cast<int>(n);
+            undefined.median = undefined.q1 = undefined.q3 = NAN;
+            undefined.zeroBase = true;
+            return undefined;
+        }
         ratios[i] = num.samples[i] / den.samples[i];
+    }
     return summarize(std::move(ratios));
 }
 
@@ -172,7 +180,7 @@ runRoundRobin(const std::vector<Config> &configs, int reps,
 Report::Report(std::string bench, const Args &args)
     : Report(std::move(bench), args.quick,
              {configuredNumThreads(), std::thread::hardware_concurrency(),
-              gemmIsaName(dispatchedGemmIsa()), BERTPROF_NATIVE_BUILD != 0})
+              cpuIsaName(dispatchedCpuIsa()), BERTPROF_NATIVE_BUILD != 0})
 {
     jsonPath_ = args.jsonPath;
 }
@@ -211,7 +219,8 @@ void
 Report::stats(const std::string &name, const std::string &unit,
               const Stats &s, double scale)
 {
-    add({name, s.median * scale, unit, s.n, s.q1 * scale, s.q3 * scale});
+    add({name, s.median * scale, unit, s.n, s.q1 * scale, s.q3 * scale,
+         s.zeroBase});
 }
 
 void
@@ -248,7 +257,9 @@ Report::text() const
     Table table;
     table.setHeader({"Metric", "Value", "Unit", "n", "q1", "q3"});
     for (const Metric &m : metrics_)
-        table.addRow({m.name, cell(m.value, "unresolved"), m.unit,
+        table.addRow({m.name,
+                      cell(m.value, m.zeroBase ? "zero base" : "unresolved"),
+                      m.unit,
                       std::to_string(m.n), cell(m.q1, "-"),
                       cell(m.q3, "-")});
     return out + table.render();
@@ -277,7 +288,8 @@ Report::json() const
                ", \"unit\": " + jsonQuote(m.unit) +
                ", \"n\": " + std::to_string(m.n) +
                ", \"q1\": " + jsonNumber(m.q1) +
-               ", \"q3\": " + jsonNumber(m.q3) + "}";
+               ", \"q3\": " + jsonNumber(m.q3) +
+               (m.zeroBase ? ", \"zero_base\": true}" : "}");
     }
     return out + "\n  ]\n}\n";
 }

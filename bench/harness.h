@@ -9,16 +9,20 @@
  *   {"bench": str, "quick": bool, "threads": int,
  *    "hardware_concurrency": int, "gemm_isa": str, "native_build": bool,
  *    "config": {str: str|number},
- *    "metrics": [{"name", "value", "unit", "n", "q1", "q3"}]}
+ *    "metrics": [{"name", "value", "unit", "n", "q1", "q3"
+ *                 [, "zero_base": true]}]}
  *
  * `threads` through `native_build` fingerprint the host and build:
  * the runtime's thread count, std::thread::hardware_concurrency(),
- * the packed-GEMM variant the run dispatched to ("sse2", "avx2",
- * "avx512") and whether it was built with -DBERTPROF_NATIVE=ON.
+ * the kernel variant the run dispatched to ("sse2", "avx2", "avx512";
+ * the packed GEMM and the element-wise kernels share it, see
+ * ops/cpu_isa.h) and whether it was built with -DBERTPROF_NATIVE=ON.
  * `value` is the median for a timed metric and `q1`/`q3` its first
  * and third quartiles over `n` reps. `q1`/`q3` are null for a value
  * measured once (a count, a one-shot ratio), and `value` is null for
- * an effect the spread cannot resolve.
+ * an effect the spread cannot resolve. A ratio whose base read 0 has
+ * no value either; it carries `"zero_base": true` and prints as
+ * "zero base" where an unresolved effect prints "unresolved".
  */
 
 #ifndef BERTPROF_BENCH_HARNESS_H
@@ -60,6 +64,9 @@ struct Stats {
     /** The sample in run order (rep i of every config shares a
      *  round, so samples pair up across configs). */
     std::vector<double> samples;
+    /** Set by pairedRatio when some rep's base was 0: the ratio is
+     *  undefined, so median and quartiles are NaN. */
+    bool zeroBase = false;
 };
 
 /** Summarize a sample; quartiles interpolate between order
@@ -67,7 +74,8 @@ struct Stats {
 Stats summarize(std::vector<double> samples);
 
 /** Per-rep ratio num[i] / den[i], summarized. Pairing by rep cancels
- *  host drift that hits both configs of one round alike. */
+ *  host drift that hits both configs of one round alike. A 0 in
+ *  `den` makes the whole ratio undefined (Stats::zeroBase). */
 Stats pairedRatio(const Stats &num, const Stats &den);
 
 /** One measured configuration: `enter` sets it up (untimed), `body`
@@ -103,6 +111,8 @@ struct Metric {
     int n = 1;
     double q1 = 0.0;
     double q3 = 0.0;
+    /** A ratio over a zero base (Stats::zeroBase). */
+    bool zeroBase = false;
 };
 
 /** The host and build a report was measured on. */

@@ -64,6 +64,32 @@ TEST(BenchHarnessStats, PairedRatioDividesRepByRep)
     EXPECT_DOUBLE_EQ(r.q3, 3.0);
 }
 
+TEST(BenchHarnessStats, PairedRatioOverZeroBaseIsUndefined)
+{
+    const Stats r =
+        pairedRatio(summarize({2.0, 0.0, 3.0}), summarize({1.0, 0.0, 1.0}));
+    EXPECT_TRUE(r.zeroBase);
+    EXPECT_EQ(r.n, 3);
+    EXPECT_TRUE(std::isnan(r.median));
+    EXPECT_FALSE(pairedRatio(summarize({1.0}), summarize({2.0})).zeroBase);
+
+    // The report tells a zero base from an effect lost in the spread.
+    Report report("bench_x", false, {});
+    report.stats("goodput_ratio", "x", r);
+    report.add({"overhead", NAN, "%", 3, -1.0, 1.0});
+    const std::string text = report.text();
+    EXPECT_NE(text.find("zero base"), std::string::npos);
+    EXPECT_NE(text.find("unresolved"), std::string::npos);
+    EXPECT_NE(report.json().find(
+                  "{\"name\": \"goodput_ratio\", \"value\": null, "
+                  "\"unit\": \"x\", \"n\": 3, \"q1\": null, "
+                  "\"q3\": null, \"zero_base\": true}"),
+              std::string::npos);
+    EXPECT_NE(report.json().find(
+                  "\"q1\": -1, \"q3\": 1}"),
+              std::string::npos);
+}
+
 TEST(BenchHarnessRoundRobin, DeclaredOrderAndEnterIsNeverTimed)
 {
     // A fake clock: time moves only when enter or body say so, and

@@ -13,7 +13,8 @@
 
 namespace bertprof {
 
-/** out = GELU(in), element-wise, exact erf formulation. */
+/** out = GELU(in), element-wise, exact erf formulation, evaluated in
+ * float by the ISA-dispatched kernel (ops/elementwise_dispatch.h). */
 KernelStats geluForward(const Tensor &in, Tensor &out);
 
 /**

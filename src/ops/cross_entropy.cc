@@ -1,6 +1,7 @@
 #include "ops/cross_entropy.h"
 
 #include <cmath>
+#include <vector>
 
 #include "tensor/contracts.h"
 #include "util/logging.h"
@@ -28,6 +29,11 @@ softmaxCrossEntropy(const Tensor &logits,
         return result;
 
     const double inv_count = 1.0 / static_cast<double>(result.count);
+    // Each row's exp(x - max) terms, computed once for the denominator
+    // and reused for the gradient.
+    static thread_local std::vector<double> exps;
+    exps.resize(static_cast<std::size_t>(cols));
+    double *e = exps.data();
     double total = 0.0;
     for (std::int64_t r = 0; r < rows; ++r) {
         const std::int64_t label = labels[static_cast<std::size_t>(r)];
@@ -41,15 +47,14 @@ softmaxCrossEntropy(const Tensor &logits,
         for (std::int64_t c = 1; c < cols; ++c)
             mx = std::max(mx, x[c]);
         double denom = 0.0;
-        for (std::int64_t c = 0; c < cols; ++c)
-            denom += std::exp(static_cast<double>(x[c]) - mx);
+        for (std::int64_t c = 0; c < cols; ++c) {
+            e[c] = std::exp(static_cast<double>(x[c]) - mx);
+            denom += e[c];
+        }
         const double log_denom = std::log(denom);
         total += log_denom - (static_cast<double>(x[label]) - mx);
-        for (std::int64_t c = 0; c < cols; ++c) {
-            const double p =
-                std::exp(static_cast<double>(x[c]) - mx) / denom;
-            dx[c] = static_cast<float>(p * inv_count);
-        }
+        for (std::int64_t c = 0; c < cols; ++c)
+            dx[c] = static_cast<float>(e[c] / denom * inv_count);
         dx[label] -= static_cast<float>(inv_count);
     }
     result.loss = total * inv_count;

@@ -49,18 +49,4 @@ dropoutBackward(const Tensor &dout, const Tensor &mask, Tensor &din)
     return elementwiseStats(n, 2, 1, 1, dtypeBytes(dout.dtype()));
 }
 
-KernelStats
-dropoutEvalForward(const Tensor &in, Tensor &out)
-{
-    BP_CHECK_SAME_SHAPE(in, out);
-    BP_CHECK_NO_PARTIAL_ALIAS(out, in);
-    const std::int64_t n = in.numel();
-    parallelFor(0, n, kElementwiseGrain,
-                [&](std::int64_t lo, std::int64_t hi) {
-                    for (std::int64_t i = lo; i < hi; ++i)
-                        out.data()[i] = in.data()[i];
-                });
-    return elementwiseStats(n, 1, 1, 1, dtypeBytes(in.dtype()));
-}
-
 } // namespace bertprof

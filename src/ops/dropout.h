@@ -25,15 +25,6 @@ KernelStats dropoutForward(const Tensor &in, float p, Rng &rng, Tensor &out,
 KernelStats dropoutBackward(const Tensor &dout, const Tensor &mask,
                             Tensor &din);
 
-/**
- * Eval-mode dropout: an exact identity copy. Draws nothing from any
- * RNG stream and allocates no mask, so interleaving eval forwards
- * with training steps leaves the training dropout sequence bitwise
- * unchanged. Inference callers that can reuse `in` directly should;
- * this exists for sites that need a distinct output buffer.
- */
-KernelStats dropoutEvalForward(const Tensor &in, Tensor &out);
-
 } // namespace bertprof
 
 #endif // BERTPROF_OPS_DROPOUT_H

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "ops/elementwise_dispatch.h"
 #include "ops/gemm.h"
 #include "ops/gemm_microkernel.h"
 #include "runtime/parallel_for.h"
@@ -12,16 +13,6 @@
 namespace bertprof {
 
 namespace {
-
-constexpr double kInvSqrt2 = 0.7071067811865475244;
-
-/** Same per-element arithmetic as geluForward (ops/activation.cc). */
-inline float
-geluScalar(float v)
-{
-    const double x = v;
-    return static_cast<float>(x * 0.5 * (1.0 + std::erf(x * kInvSqrt2)));
-}
 
 /**
  * Normalize one row exactly as layerNormForward does: double mean and
@@ -88,15 +79,13 @@ fusedBiasGeluForward(const Tensor &in, const Tensor &bias, Tensor &out)
     BP_REQUIRE(in.numel() % cols == 0);
     const std::int64_t rows = in.numel() / cols;
 
+    // geluForward's element function, with the bias add in front: the
+    // same float sum biasForward writes, so the pair stays bitwise.
     parallelFor(0, rows, rowGrain(cols),
                 [&](std::int64_t r_lo, std::int64_t r_hi) {
-                    for (std::int64_t r = r_lo; r < r_hi; ++r) {
-                        const float *src = in.data() + r * cols;
-                        const float *bv = bias.data();
-                        float *dst = out.data() + r * cols;
-                        for (std::int64_t c = 0; c < cols; ++c)
-                            dst[c] = geluScalar(src[c] + bv[c]);
-                    }
+                    for (std::int64_t r = r_lo; r < r_hi; ++r)
+                        geluElements(in.data() + r * cols, bias.data(),
+                                     out.data() + r * cols, cols);
                 });
     // Flops: 1 (bias add) + 5 (GeLU) per element, as the unfused pair
     // reports. Traffic: one read and one write instead of the unfused
@@ -269,25 +258,14 @@ fusedAttentionEvalForward(const Tensor &q3d, const Tensor &k3d,
             // S = scale * q_g k_g^T  ([n, dh] x [n, dh]^T -> [n, n]).
             gemmPackedRows(qg, kg, sblk, n, n, dh, false, true, scale,
                            0.0f, 0, n);
-            // Rows: mask add + the exact row algorithm of
-            // softmaxForward (max, exp, double-accumulated
-            // denominator, multiply by the float inverse), in place.
+            // Rows: mask add, then softmaxForward's row kernel in
+            // place.
             for (std::int64_t i = 0; i < n; ++i) {
                 float *srow = sblk + i * n;
                 const float *mi = mg + i * n;
-                float mx = srow[0] + mi[0];
-                for (std::int64_t j = 0; j < n; ++j) {
-                    srow[j] += mi[j];
-                    mx = std::max(mx, srow[j]);
-                }
-                double denom = 0.0;
-                for (std::int64_t j = 0; j < n; ++j) {
-                    srow[j] = std::exp(srow[j] - mx);
-                    denom += srow[j];
-                }
-                const float inv = static_cast<float>(1.0 / denom);
                 for (std::int64_t j = 0; j < n; ++j)
-                    srow[j] *= inv;
+                    srow[j] += mi[j];
+                softmaxRow(srow, srow, n);
             }
             // context_g = P v_g  ([n, n] x [n, dh] -> [n, dh]).
             gemmPackedRows(sblk, vg, og, n, dh, n, false, false, 1.0f,

@@ -20,7 +20,8 @@
  * ISA dispatch: the loop nest (ops/gemm_kernel.h) is compiled once per
  * x86 ISA — SSE2 4x8, AVX2 4x32, AVX-512F 8x32 tiles — and
  * gemmPackedRows runs the widest one the host supports, chosen once
- * per process. Every variant is built with -ffp-contract=off.
+ * per process (ops/cpu_isa.h). Every variant is built with
+ * -ffp-contract=off.
  *
  * Determinism: each output element's accumulation order is a pure
  * function of (n, k) — KC blocks in ascending pc order, products in
@@ -35,7 +36,8 @@
 #define BERTPROF_OPS_GEMM_MICROKERNEL_H
 
 #include <cstdint>
-#include <vector>
+
+#include "ops/cpu_isa.h"
 
 namespace bertprof {
 
@@ -57,46 +59,16 @@ inline constexpr std::int64_t kGemmNC = 1024;
  * (A stored KxM when trans_a), op(B) is KxN (B stored NxK when
  * trans_b). Uses thread-local packing buffers — safe to call
  * concurrently on disjoint row ranges, e.g. from parallelFor with a
- * kGemmMC grain. Runs dispatchedGemmIsa().
+ * kGemmMC grain. Runs dispatchedCpuIsa().
  */
 void gemmPackedRows(const float *a, const float *b, float *c, std::int64_t m,
                     std::int64_t n, std::int64_t k, bool trans_a,
                     bool trans_b, float alpha, float beta,
                     std::int64_t row_begin, std::int64_t row_end);
 
-/** The compiled variants of the packed loop nest, narrowest first. */
-enum class GemmIsa { Sse2, Avx2, Avx512 };
-
-/** "sse2", "avx2" or "avx512". */
-const char *gemmIsaName(GemmIsa isa);
-
-/** The CPU features the variant choice depends on. */
-struct GemmCpuFeatures {
-    bool avx2 = false;
-    bool avx512f = false;
-};
-
-/**
- * The widest variant this build compiled that `features` can run
- * (AVX-512 needs avx512f and avx2, since -mavx512f implies -mavx2);
- * sse2 when none is reported. Pure: a function of its argument and
- * the build.
- */
-GemmIsa selectGemmIsa(const GemmCpuFeatures &features);
-
-/** The variant gemmPackedRows runs: selectGemmIsa of this host's
- * features as __builtin_cpu_supports reports them (a feature counts
- * only when the OS enables its register state; none off x86),
- * resolved once per process. */
-GemmIsa dispatchedGemmIsa();
-
-/** The variants this build compiled that this host can run, narrowest
- * first; always starts with sse2. */
-std::vector<GemmIsa> availableGemmIsas();
-
 /** gemmPackedRows on a named variant, for tests and benches that
- * compare variants. `isa` must be in availableGemmIsas(). */
-void gemmPackedRowsFor(GemmIsa isa, const float *a, const float *b,
+ * compare variants. `isa` must satisfy cpuIsaAvailable(). */
+void gemmPackedRowsFor(CpuIsa isa, const float *a, const float *b,
                        float *c, std::int64_t m, std::int64_t n,
                        std::int64_t k, bool trans_a, bool trans_b,
                        float alpha, float beta, std::int64_t row_begin,

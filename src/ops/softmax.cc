@@ -1,7 +1,6 @@
 #include "ops/softmax.h"
 
-#include <cmath>
-
+#include "ops/elementwise_dispatch.h"
 #include "runtime/parallel_for.h"
 #include "tensor/contracts.h"
 #include "util/logging.h"
@@ -22,21 +21,8 @@ softmaxForward(const Tensor &in, Tensor &out)
     // loop for any thread count.
     parallelFor(0, rows, rowGrain(cols), [&](std::int64_t r_lo,
                                              std::int64_t r_hi) {
-        for (std::int64_t r = r_lo; r < r_hi; ++r) {
-            const float *x = in.data() + r * cols;
-            float *y = out.data() + r * cols;
-            float mx = x[0];
-            for (std::int64_t c = 1; c < cols; ++c)
-                mx = std::max(mx, x[c]);
-            double denom = 0.0;
-            for (std::int64_t c = 0; c < cols; ++c) {
-                y[c] = std::exp(x[c] - mx);
-                denom += y[c];
-            }
-            const float inv = static_cast<float>(1.0 / denom);
-            for (std::int64_t c = 0; c < cols; ++c)
-                y[c] *= inv;
-        }
+        for (std::int64_t r = r_lo; r < r_hi; ++r)
+            softmaxRow(in.data() + r * cols, out.data() + r * cols, cols);
     });
     // max + exp + sum + div: ~4 passes of arithmetic per element.
     return elementwiseStats(in.numel(), 1, 1, 4, dtypeBytes(in.dtype()));

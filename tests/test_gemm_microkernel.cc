@@ -122,17 +122,17 @@ TEST_P(PackedShapeTest, EveryVariantBitwiseEqualToSse2)
                 for (const float beta : {0.0f, 1.0f, -2.5f}) {
                     Tensor c0(Shape({m, n}));
                     c0.fillNormal(rng);
-                    const auto run = [&](GemmIsa isa) {
+                    const auto run = [&](CpuIsa isa) {
                         Tensor c = c0.clone();
                         gemmPackedRowsFor(isa, a.data(), b.data(), c.data(),
                                           m, n, k, trans_a, trans_b, alpha,
                                           beta, 0, m);
                         return c;
                     };
-                    const Tensor want = run(GemmIsa::Sse2);
-                    for (const GemmIsa isa : availableGemmIsas())
+                    const Tensor want = run(CpuIsa::Sse2);
+                    for (const CpuIsa isa : availableCpuIsas())
                         EXPECT_TRUE(bitwiseEqual(run(isa), want))
-                            << gemmIsaName(isa) << " m=" << m << " n=" << n
+                            << cpuIsaName(isa) << " m=" << m << " n=" << n
                             << " k=" << k << " tA=" << trans_a
                             << " tB=" << trans_b << " alpha=" << alpha
                             << " beta=" << beta;
@@ -226,14 +226,14 @@ TEST_F(GemmMicrokernelTest, DispatchedVariantBitwiseAcrossThreadCounts)
             a.fillNormal(rng);
             b.fillNormal(rng);
             Tensor want(Shape({m, n}));
-            gemmPackedRowsFor(GemmIsa::Sse2, a.data(), b.data(), want.data(),
+            gemmPackedRowsFor(CpuIsa::Sse2, a.data(), b.data(), want.data(),
                               m, n, k, trans_a, trans_b, 1.5f, 0.0f, 0, m);
             for (const int threads : {1, 8}) {
                 setNumThreads(threads);
                 Tensor c(Shape({m, n}));
                 gemm(a, b, c, trans_a, trans_b, 1.5f, 0.0f);
                 EXPECT_TRUE(bitwiseEqual(c, want))
-                    << gemmIsaName(dispatchedGemmIsa())
+                    << cpuIsaName(dispatchedCpuIsa())
                     << " threads=" << threads << " tA=" << trans_a
                     << " tB=" << trans_b;
             }
@@ -246,7 +246,7 @@ TEST_F(GemmMicrokernelTest, DispatchedVariantBitwiseAcrossThreadCounts)
     b.fillNormal(rng);
     Tensor want(Shape({batch, bm, bn}));
     for (std::int64_t g = 0; g < batch; ++g)
-        gemmPackedRowsFor(GemmIsa::Sse2, a.data() + g * bm * bk,
+        gemmPackedRowsFor(CpuIsa::Sse2, a.data() + g * bm * bk,
                           b.data() + g * bn * bk, want.data() + g * bm * bn,
                           bm, bn, bk, false, true, 1.0f, 0.0f, 0, bm);
     for (const int threads : {1, 8}) {
@@ -254,7 +254,7 @@ TEST_F(GemmMicrokernelTest, DispatchedVariantBitwiseAcrossThreadCounts)
         Tensor c(Shape({batch, bm, bn}));
         batchedGemm(a, b, c, false, true);
         EXPECT_TRUE(bitwiseEqual(c, want))
-            << gemmIsaName(dispatchedGemmIsa()) << " threads=" << threads;
+            << cpuIsaName(dispatchedCpuIsa()) << " threads=" << threads;
     }
 }
 
@@ -306,24 +306,24 @@ TEST(GemmPack, PackBZeroPadsRaggedPanels)
 
 TEST(GemmIsaSelect, PicksWidestSupportedVariantElseSse2)
 {
-    EXPECT_EQ(selectGemmIsa({}), GemmIsa::Sse2);
+    EXPECT_EQ(selectCpuIsa({}), CpuIsa::Sse2);
 #if defined(__x86_64__)
-    EXPECT_EQ(selectGemmIsa({.avx2 = true, .avx512f = true}),
-              GemmIsa::Avx512);
-    EXPECT_EQ(selectGemmIsa({.avx2 = true, .avx512f = false}),
-              GemmIsa::Avx2);
+    EXPECT_EQ(selectCpuIsa({.avx2 = true, .avx512f = true}),
+              CpuIsa::Avx512);
+    EXPECT_EQ(selectCpuIsa({.avx2 = true, .avx512f = false}),
+              CpuIsa::Avx2);
     // The AVX-512 variant is built with -mavx512f, which implies AVX2.
-    EXPECT_EQ(selectGemmIsa({.avx2 = false, .avx512f = true}),
-              GemmIsa::Sse2);
+    EXPECT_EQ(selectCpuIsa({.avx2 = false, .avx512f = true}),
+              CpuIsa::Sse2);
 #endif
 
-    const std::vector<GemmIsa> available = availableGemmIsas();
+    const std::vector<CpuIsa> available = availableCpuIsas();
     ASSERT_FALSE(available.empty());
-    EXPECT_EQ(available.front(), GemmIsa::Sse2);
-    EXPECT_EQ(available.back(), dispatchedGemmIsa());
-    EXPECT_STREQ(gemmIsaName(GemmIsa::Sse2), "sse2");
-    EXPECT_STREQ(gemmIsaName(GemmIsa::Avx2), "avx2");
-    EXPECT_STREQ(gemmIsaName(GemmIsa::Avx512), "avx512");
+    EXPECT_EQ(available.front(), CpuIsa::Sse2);
+    EXPECT_EQ(available.back(), dispatchedCpuIsa());
+    EXPECT_STREQ(cpuIsaName(CpuIsa::Sse2), "sse2");
+    EXPECT_STREQ(cpuIsaName(CpuIsa::Avx2), "avx2");
+    EXPECT_STREQ(cpuIsaName(CpuIsa::Avx512), "avx512");
 }
 
 TEST(GemmConfig, EnvironmentSelectsEngineAndOverrideWins)
