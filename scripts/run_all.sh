@@ -44,7 +44,7 @@ ctest --test-dir build -L fusion --output-on-failure
 # Telemetry smoke: record a real (quick) train+eval run into a trace
 # container, then replay it with bptrace — the breakdown aggregates
 # and stats must come back out of the file the run just wrote. The
-# `telemetry` label covers the container/recorder/metrics unit suites.
+# `telemetry` label covers the container, recorder and trace-hook suites.
 ctest --test-dir build -L telemetry --output-on-failure
 mkdir -p results
 build/bench/bench_trace_overhead --quick \

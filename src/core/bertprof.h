@@ -11,7 +11,7 @@
  *  - io/      crash-safe checkpoint store
  *  - train/   hardened training loop (checkpoints + resume)
  *  - runtime/ CPU kernel profiler and fault injector
- *  - telemetry/ binary run-trace container, recorder, live metrics
+ *  - telemetry/ binary run-trace container, recorder, replay
  *  - core/    facade (Characterizer) and report rendering
  */
 
@@ -44,7 +44,6 @@
 #include "perf/footprint.h"
 #include "perf/roofline.h"
 #include "runtime/fault_injection.h"
-#include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
 #include "telemetry/replay.h"
 #include "trace/bert_trace_builder.h"

@@ -406,16 +406,6 @@ withRetries(const RetryPolicy &policy,
     return status;
 }
 
-IoStatus
-withRetries(int attempts, double backoffMs,
-            const std::function<IoStatus()> &op)
-{
-    RetryPolicy policy;
-    policy.attempts = attempts;
-    policy.backoffMs = backoffMs;
-    return withRetries(policy, op);
-}
-
 const char *
 ioErrorName(IoError error)
 {

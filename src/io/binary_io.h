@@ -162,10 +162,6 @@ void installIoRetrySink(IoRetrySink sink);
 IoStatus withRetries(const RetryPolicy &policy,
                      const std::function<IoStatus()> &op);
 
-/** Legacy form: attempts + base backoff, defaults for the rest. */
-IoStatus withRetries(int attempts, double backoffMs,
-                     const std::function<IoStatus()> &op);
-
 } // namespace bertprof
 
 #endif // BERTPROF_IO_BINARY_IO_H

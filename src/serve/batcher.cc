@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "runtime/fault_injection.h"
-#include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
 #include "util/logging.h"
 
@@ -81,10 +80,6 @@ DynamicBatcher::updateLadderLocked()
     }
     if (next != level) {
         level_.store(next, std::memory_order_relaxed);
-        auto &metrics = MetricsRegistry::instance();
-        metrics.counter("serve.degrade.shifts").add(1);
-        metrics.gauge("serve.degrade.level")
-            .set(static_cast<double>(next));
         TraceRecorder::instance().counter("serve.degrade.shifts", 1);
         TraceRecorder::instance().gauge("serve.degrade.level",
                                         static_cast<double>(next));
@@ -98,10 +93,8 @@ DynamicBatcher::resolveRejected(PendingRequest &pending,
     BP_REQUIRE(reason != RejectReason::None);
     rejected_[static_cast<std::size_t>(reason)].fetch_add(
         1, std::memory_order_relaxed);
-    const std::string counter_name =
-        std::string("serve.rejected.") + rejectReasonName(reason);
-    MetricsRegistry::instance().counter(counter_name).add(1);
-    TraceRecorder::instance().counter(counter_name, 1);
+    TraceRecorder::instance().counter(
+        std::string("serve.rejected.") + rejectReasonName(reason), 1);
     InferReply reply;
     reply.id = pending.request.id;
     reply.ok = false;
@@ -202,9 +195,6 @@ DynamicBatcher::shedExpiredLocked(std::unique_lock<std::mutex> &lock)
         return false;
     updateLadderLocked();
     lock.unlock();
-    MetricsRegistry::instance()
-        .counter("serve.shed.dequeue")
-        .add(static_cast<std::int64_t>(dead.size()));
     TraceRecorder::instance().counter(
         "serve.shed.dequeue", static_cast<std::int64_t>(dead.size()));
     for (PendingRequest &p : dead)
@@ -226,9 +216,6 @@ DynamicBatcher::shedUrgencyLocked(std::unique_lock<std::mutex> &lock)
         queue_.shedLowestUrgency(target);
     updateLadderLocked();
     lock.unlock();
-    MetricsRegistry::instance()
-        .counter("serve.shed.urgency")
-        .add(static_cast<std::int64_t>(shed.size()));
     TraceRecorder::instance().counter(
         "serve.shed.urgency", static_cast<std::int64_t>(shed.size()));
     for (PendingRequest &p : shed)

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "runtime/fault_injection.h"
-#include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
 #include "util/logging.h"
 
@@ -117,7 +116,6 @@ nanosBetween(MonoTime a, MonoTime b)
 void
 InferenceServer::executorLoop()
 {
-    auto &metrics = MetricsRegistry::instance();
     Batch batch;
     std::vector<InferReply> replies;
     while (batcher_.nextBatch(batch)) {
@@ -140,7 +138,6 @@ InferenceServer::executorLoop()
                 PendingRequest &pending = batch.requests[i];
                 if (pending.request.deadline < done_by ||
                     pending.request.deadline <= now) {
-                    metrics.counter("serve.shed.precompute").add(1);
                     TraceRecorder::instance().counter(
                         "serve.shed.precompute", 1);
                     batcher_.resolveRejected(pending,
@@ -204,32 +201,17 @@ InferenceServer::executorLoop()
                 if (end <= pending.request.deadline)
                     ++completedInDeadline_;
             }
-            metrics.histogram("serve.queue_seconds")
-                .record(reply.queueSeconds);
-            metrics.histogram("serve.compute_seconds")
-                .record(reply.computeSeconds);
-            metrics.histogram("serve.total_seconds")
-                .record(reply.totalSeconds);
             pending.promise.set_value(std::move(reply));
         }
 
         const std::int64_t depth =
             static_cast<std::int64_t>(batcher_.pendingCount());
-        metrics.counter("serve.batches").add(1);
-        metrics.counter("serve.requests").add(batch_size);
-        metrics.counter("serve.completed.in_deadline").add(in_deadline);
-        metrics.counter("serve.completed.late")
-            .add(batch_size - in_deadline);
-        metrics.histogram("serve.batch_occupancy")
-            .record(static_cast<double>(batch_size));
-        metrics.gauge("serve.queue_depth")
-            .set(static_cast<double>(depth));
-        metrics.gauge("serve.degrade.level")
-            .set(static_cast<double>(batcher_.degradeLevel()));
-        TraceRecorder::instance().onServeBatch(
-            nanosBetween(oldestArrival, start),
-            nanosBetween(start, end), batch_size, batch.paddedLen,
-            depth);
+        TraceRecorder &trace = TraceRecorder::instance();
+        trace.counter("serve.completed.in_deadline", in_deadline);
+        trace.counter("serve.completed.late", batch_size - in_deadline);
+        trace.onServeBatch(nanosBetween(oldestArrival, start),
+                           nanosBetween(start, end), batch_size,
+                           batch.paddedLen, depth);
 
         batch.requests.clear();
         replies.clear();

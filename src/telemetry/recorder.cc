@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "io/binary_io.h"
 #include "runtime/env.h"
 #include "util/logging.h"
 
@@ -76,8 +77,7 @@ TraceRecorder::start(const RecorderOptions &options)
         return IoStatus::failure(IoError::OpenFailed,
                                  "trace recorder needs a non-empty path");
     }
-    auto writer = std::make_unique<TraceWriter>(
-        TraceWriterOptions{options.syncEachChunk});
+    auto writer = std::make_unique<TraceWriter>();
     IoStatus status = writer->open(options.path);
     if (!status.ok())
         return status;
@@ -147,16 +147,8 @@ TraceRecorder::maybeStartFromEnv()
     const std::string path = envString("BERTPROF_TRACE", "");
     if (path.empty())
         return;
-    static std::atomic<bool> chunkWarned{false};
-    static std::atomic<bool> ringWarned{false};
     RecorderOptions options;
     options.path = path;
-    options.chunkBytes = static_cast<std::size_t>(
-        envInt("BERTPROF_TRACE_CHUNK_KB", 4, 1 << 20, 256,
-               chunkWarned) *
-        1024);
-    options.ringEvents = static_cast<std::size_t>(
-        envInt("BERTPROF_TRACE_RING", 64, 1 << 20, 4096, ringWarned));
     IoStatus status = start(options);
     if (!status.ok()) {
         BP_LOG(Warn) << "BERTPROF_TRACE=" << path
@@ -430,6 +422,25 @@ struct TraceEnvAutostart {
 };
 
 TraceEnvAutostart g_traceEnvAutostart;
+
+void
+countIoRetry(std::int64_t retries)
+{
+    TraceRecorder::instance().counter("io.retry.attempts", retries);
+}
+
+/**
+ * Dependency inversion: io (below telemetry in the include DAG)
+ * exposes a retry sink; this points it at the recorder so every
+ * backoff retry lands in the trace as the `io.retry.attempts`
+ * counter. Installed at static-init time from the recorder's TU, so
+ * any binary that can record gets the wiring.
+ */
+struct IoRetrySinkInstaller {
+    IoRetrySinkInstaller() { installIoRetrySink(&countIoRetry); }
+};
+
+const IoRetrySinkInstaller g_ioRetrySinkInstaller;
 
 } // namespace
 

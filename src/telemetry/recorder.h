@@ -38,7 +38,6 @@ struct RecorderOptions {
     std::string path;                ///< container file to write
     std::size_t chunkBytes = 256 * 1024; ///< seal threshold (raw bytes)
     std::size_t ringEvents = 4096;   ///< per-thread buffer capacity
-    bool syncEachChunk = true;       ///< fsync after every sealed chunk
 };
 
 /**

@@ -186,7 +186,7 @@ TraceWriter::appendChunk(const std::vector<TraceEvent> &events,
     chunk[7] = static_cast<char>((crc >> 24) & 0xff);
 
     IoStatus status = file_.append(chunk.data(), chunk.size());
-    if (status.ok() && options_.syncEachChunk)
+    if (status.ok())
         status = file_.sync();
     if (!status.ok()) {
         failed_ = true;

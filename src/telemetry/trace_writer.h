@@ -21,21 +21,10 @@
 
 namespace bertprof {
 
-/** Writer knobs. */
-struct TraceWriterOptions {
-    /** fsync after every sealed chunk (durability per chunk). */
-    bool syncEachChunk = true;
-};
-
 /** Streams chunks of events into a container file. */
 class TraceWriter
 {
   public:
-    explicit TraceWriter(TraceWriterOptions options = {})
-        : options_(options)
-    {
-    }
-
     /** Create/truncate the container and write the file header. */
     IoStatus open(const std::string &path);
 
@@ -44,6 +33,7 @@ class TraceWriter
      * name table (dense ids from 0, append-only across the whole
      * recording); the writer emits the entries not yet on disk into
      * this chunk's name section. Event nameIds must be < names.size().
+     * The chunk is fsynced before this returns (durability per chunk).
      * After any failure the writer latches failed() and every later
      * append is refused (the tail of the file is no longer trusted).
      */
@@ -64,7 +54,6 @@ class TraceWriter
     std::int64_t rawPayloadBytes() const { return rawPayloadBytes_; }
 
   private:
-    TraceWriterOptions options_;
     AppendFile file_;
     std::size_t namesEmitted_ = 0;
     std::int64_t chunksWritten_ = 0;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "runtime/fault_injection.h"
-#include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
 #include "util/logging.h"
 
@@ -141,12 +140,6 @@ Trainer::trainStep()
     ++iteration_;
 
     const std::int64_t stepNs = elapsedNs(stepStart);
-    auto &metrics = MetricsRegistry::instance();
-    metrics.counter("train.steps").add(1);
-    if (result.status != StepStatus::Applied)
-        metrics.counter("train.steps_skipped").add(1);
-    metrics.histogram("train.step_seconds")
-        .record(static_cast<double>(stepNs) * 1e-9);
     TraceRecorder::instance().onTrainStep(
         iteration_ - 1, static_cast<int>(result.status), stepNs,
         static_cast<float>(result.metrics.totalLoss()), result.lr);
@@ -156,9 +149,6 @@ Trainer::trainStep()
         result.checkpointStatus = saveCheckpoint();
         result.checkpointSaved = result.checkpointStatus.ok();
         const std::int64_t ckptNs = elapsedNs(ckptStart);
-        metrics.counter("train.checkpoints").add(1);
-        metrics.histogram("train.checkpoint_seconds")
-            .record(static_cast<double>(ckptNs) * 1e-9);
         TraceRecorder::instance().onCheckpoint(
             iteration_, result.checkpointSaved, ckptNs);
         if (!result.checkpointSaved) {

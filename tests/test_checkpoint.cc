@@ -222,8 +222,11 @@ TEST(Container, RewriteIsAtomicReplacement)
 
 TEST(WithRetries, RetriesOnlyTransientFailures)
 {
+    RetryPolicy policy;
+    policy.attempts = 5;
+    policy.backoffMs = 0.01;
     int calls = 0;
-    const IoStatus s = withRetries(5, 0.01, [&]() {
+    const IoStatus s = withRetries(policy, [&]() {
         ++calls;
         if (calls < 3)
             return IoStatus::failure(IoError::Transient, "flaky");
@@ -233,7 +236,7 @@ TEST(WithRetries, RetriesOnlyTransientFailures)
     EXPECT_EQ(calls, 3);
 
     calls = 0;
-    const IoStatus p = withRetries(5, 0.01, [&]() {
+    const IoStatus p = withRetries(policy, [&]() {
         ++calls;
         return IoStatus::failure(IoError::BadChecksum, "permanent");
     });
@@ -243,8 +246,11 @@ TEST(WithRetries, RetriesOnlyTransientFailures)
 
 TEST(WithRetries, GivesUpAfterTheAttemptBudget)
 {
+    RetryPolicy policy;
+    policy.attempts = 3;
+    policy.backoffMs = 0.01;
     int calls = 0;
-    const IoStatus s = withRetries(3, 0.01, [&]() {
+    const IoStatus s = withRetries(policy, [&]() {
         ++calls;
         return IoStatus::failure(IoError::Transient, "always");
     });

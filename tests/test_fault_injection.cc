@@ -256,7 +256,10 @@ TEST(IoFaults, TransientWriteErrorsAreRetriedToSuccess)
 
     // Two transient failures, then clean: a 3-attempt budget wins.
     FaultInjector::instance().configure("ioerr@io.write:1+2");
-    const IoStatus s = withRetries(3, 0.01, [&]() {
+    RetryPolicy policy;
+    policy.attempts = 3;
+    policy.backoffMs = 0.01;
+    const IoStatus s = withRetries(policy, [&]() {
         return writeFileAtomic(path, "eventually");
     });
     EXPECT_TRUE(s.ok()) << s.toString();
@@ -273,8 +276,11 @@ TEST(IoFaults, TransientReadErrorsExhaustTheBudget)
     ASSERT_TRUE(writeFileAtomic(path, "payload").ok());
 
     FaultInjector::instance().configure("ioerr@io.read:1+10");
+    RetryPolicy policy;
+    policy.attempts = 3;
+    policy.backoffMs = 0.01;
     std::string got;
-    const IoStatus s = withRetries(3, 0.01, [&]() {
+    const IoStatus s = withRetries(policy, [&]() {
         return readFileValidated(path, got);
     });
     EXPECT_EQ(s.error, IoError::Transient);
